@@ -83,8 +83,9 @@ def convert(src: str, from_fmt: TableFormat) -> tuple[str, ParseDiagnostics]:
         return SENTINEL_HTML, ParseDiagnostics(("input is not text",), recovered=False)
     try:
         table, warnings = _PARSERS[from_fmt](src, tolerant=True)
+        html = None if table is None else serialize_html(table)
     except (RecursionError, ValueError):
-        table, warnings = None, ["tolerant parse failed"]
-    if table is None:
+        html, warnings = None, ["tolerant parse failed"]
+    if html is None:
         return SENTINEL_HTML, ParseDiagnostics(tuple(warnings) + ("no table recovered",), recovered=False)
-    return serialize_html(table), ParseDiagnostics(tuple(warnings), recovered=True)
+    return html, ParseDiagnostics(tuple(warnings), recovered=True)

@@ -62,6 +62,19 @@ class RowBuffer:
     warnings: list[str] = field(default_factory=list)
 
 
+def _free_column(
+    occupied: dict[tuple[int, int], AnchorCell], r: int, c: int, row_span: int, col_span: int
+) -> int:
+    """Leftmost column from c where a row_span x col_span cell at row r
+    covers no occupied position, looking no further than MAX_COLS."""
+    cc = c
+    while cc < c + col_span and cc <= MAX_COLS:
+        if any((rr, cc) in occupied for rr in range(r, r + row_span)):
+            c = cc + 1
+        cc += 1
+    return c
+
+
 def assemble(
     buffer: RowBuffer,
     *,
@@ -73,7 +86,9 @@ def assemble(
     With skip_occupied (HTML semantics) a cell slides right past positions
     covered by spans from above.  Without it (LaTeX semantics) the source is
     expected to carry empty placeholder cells at covered positions, which are
-    consumed instead of placed.
+    consumed instead of placed.  In tolerant mode either way a cell then
+    slides right until none of the positions it would cover is occupied, so
+    the result never overlaps.
 
     Strict mode raises ParseError for spans that run past the last row, for
     interior gaps, and for placeholder collisions; ragged right edges are
@@ -113,10 +128,7 @@ def assemble(
                 if cell.content == "" and row_span == 1:
                     c += col_span
                     continue
-                if tolerant:
-                    while (r, c) in occupied:
-                        c += 1
-                else:
+                if not tolerant:
                     raise ParseError(f"row {r}", f"overlapping span at column {c}")
 
             if row_span > n_rows - r + 1:
@@ -124,6 +136,8 @@ def assemble(
                     row_span = n_rows - r + 1
                 else:
                     raise ParseError(f"row {r}", f"row span runs past the last row at column {c}")
+            if tolerant:
+                c = _free_column(occupied, r, c, row_span, col_span)
             if tolerant and c + col_span - 1 > MAX_COLS:
                 col_span = max(1, MAX_COLS - c + 1)
                 if c > MAX_COLS:

@@ -10,7 +10,11 @@ from .common import ParseError, RawCell, RowBuffer, assemble
 
 _ESCAPES = {"&": "\\&", "%": "\\%", "#": "\\#", "_": "\\_", "{": "\\{", "}": "\\}"}
 _RULE = re.compile(r"\\(?:hline|toprule|midrule|bottomrule)\b|\\cline\s*\{[^}]*\}")
-_ROW_SPLIT = re.compile(r"\\\\(?:\s*\[[^\]]*\])?")
+# a row break, with its optional [<length>] argument; a bracket group that
+# holds no TeX length is the next row's text
+_ROW_SPLIT = re.compile(
+    r"\\\\(?:\s*\[\s*[-+]?(?:\d+(?:\.\d*)?|\.\d+)\s*(?:pt|mm|cm|in|ex|em|bp|pc|dd|cc|sp|mu)\s*\])?"
+)
 _MULTICOLUMN = re.compile(r"\\multicolumn\s*")
 _MULTIROW = re.compile(r"\\multirow\s*")
 

@@ -372,10 +372,15 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
         gold_table = str(gold_answer.get("answer", ""))
         fmt = TableFormat(tr_format) if tr_format else _sniff_format(gold_table)
         gold_html, _ = convert(gold_table, fmt)
+        if isinstance(payload, dict) and "answer" not in payload:
+            # an object without an answer is part of the table text, such as
+            # the {} of an empty LaTeX \multicolumn, not a wrapped answer
+            payload = str(response).strip()
+            record["extraction"] = ExtractionStatus.RAW_TEXT.value
         if isinstance(payload, dict):
-            pred_table = str(payload.get("answer", ""))
+            pred_table = str(payload["answer"])
         else:
-            pred_table = str(payload) if payload is not None else ""
+            pred_table = str(payload)
         record["teds"] = score_tr(pred_table, fmt, gold_html)
         record["format"] = fmt.value
     else:  # QA_WRAP

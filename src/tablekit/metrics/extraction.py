@@ -30,45 +30,106 @@ class ExtractionResult:
     payload: object  # dict for the first two statuses, str for raw text, None for failed
 
 
-def _match_brace(text: str, start: int) -> int | None:
-    """Index of the brace closing text[start] ('{'), string-aware."""
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
+_OUTSIDE, _INSIDE, _ESCAPED = 0, 1, 2  # string states of a brace scan
+# the characters a brace scan reacts to; a backslash comes with the character
+# it escapes, so an escaped group always resolves within the same match
+_SIGNIFICANT = re.compile(r'[{}"]|\\.?', re.S)
+
+
+class _ScanGroup:
+    """Brace scans in the same string state. They see the same characters
+    the same way from here on, so one depth counter serves them all; each
+    start is filed under the counter value at which its scan closes."""
+
+    __slots__ = ("depth", "pending", "size")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.pending: dict[int, list[int]] = {}
+        self.size = 0
+
+    def merge(self, other: "_ScanGroup") -> "_ScanGroup":
+        """The union of two groups: the smaller is re-based into the larger."""
+        big, small = (self, other) if self.size >= other.size else (other, self)
+        shift = big.depth - small.depth
+        for depth, starts in small.pending.items():
+            big.pending.setdefault(depth + shift, []).extend(starts)
+        big.size += small.size
+        return big
+
+
+def _step(
+    groups: dict[int, _ScanGroup], ch: str, i: int, closing: dict[int, int]
+) -> dict[int, _ScanGroup]:
+    """Advance every group over text[i] == ch, recording the scans that
+    close there."""
+    moved: dict[int, _ScanGroup] = {}
+    for state, group in groups.items():
+        if state == _OUTSIDE:
+            if ch == '"':
+                state = _INSIDE
+            elif ch == "{":
+                group.depth += 1
+            elif ch == "}":
+                group.depth -= 1
+                starts = group.pending.pop(group.depth, None)
+                if starts is not None:
+                    for start in starts:
+                        closing[start] = i
+                    group.size -= len(starts)
+                    if not group.size:
+                        continue
+        elif state == _INSIDE:
+            if ch == "\\":
+                state = _ESCAPED
             elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
+                state = _OUTSIDE
+        else:
+            state = _INSIDE
+        other = moved.get(state)
+        moved[state] = group if other is None else other.merge(group)
+    return moved
+
+
+def _closing_braces(text: str) -> dict[int, int]:
+    """For every '{' in text, the index of the '}' that a string-aware scan
+    started there stops at (depth back to 0 outside a JSON string); braces
+    that never close are absent.
+
+    All scans run in one pass: a scan's future depends only on its string
+    state and its depth, so scans are kept in one group per state, and
+    groups that reach the same state merge. Merging the smaller group into
+    the larger keeps the pass O(n log n) at worst, where a scan per brace
+    would be O(n^2).
+    """
+    closing: dict[int, int] = {}
+    groups: dict[int, _ScanGroup] = {}
+    for match in _SIGNIFICANT.finditer(text):
+        for i in range(match.start(), match.end()):
+            ch = text[i]
+            if ch == "{":
+                group = groups.get(_OUTSIDE)
+                if group is None:
+                    group = groups[_OUTSIDE] = _ScanGroup()
+                group.pending.setdefault(group.depth, []).append(i)
+                group.size += 1
+            elif not groups:
+                continue
+            groups = _step(groups, ch, i, closing)
+    return closing
 
 
 def _last_json_object(text: str) -> dict | None:
+    closing = _closing_braces(text)
     spans: list[tuple[int, int]] = []
-    i = 0
-    while i < len(text):
-        if text[i] == "{":
-            end = _match_brace(text, i)
-            if end is None:
-                i += 1
-            else:
-                spans.append((i, end + 1))
-                i = end + 1
+    i = text.find("{")
+    while i >= 0:
+        end = closing.get(i)
+        if end is None:
+            i = text.find("{", i + 1)
         else:
-            i += 1
+            spans.append((i, end + 1))
+            i = text.find("{", end + 1)
     for start, end in reversed(spans):
         try:
             value = json.loads(text[start:end])

@@ -9,6 +9,9 @@ Costs: insert = delete = 1. Renaming two nodes costs 1 when tags differ;
 for two td nodes it costs 1 on any span mismatch and otherwise the
 Levenshtein distance of their contents divided by the longer length
 (0 when both are empty); matching non-td tags rename for free.
+
+Two equal HTML strings give identical trees, at distance exactly 0, so
+teds returns 1.0 for them without building the trees.
 """
 
 from __future__ import annotations
@@ -146,19 +149,39 @@ def html_to_tree(html: str) -> TreeNode:
 
 
 def levenshtein(a: str, b: str) -> int:
+    """Unit-cost edit distance, by the bit-parallel method of Myers (JACM
+    1999) in Hyyro's form: a DP column of the longer string is held as two
+    bit vectors of +1/-1 vertical deltas, one Python int each, so the
+    shorter string is walked once in O(n * ceil(m / w))."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[len(b)]
+    peq: dict[str, int] = {}
+    bit = 1
+    for ch in a:
+        peq[ch] = peq.get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, dist = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def _rename_cost(a: TreeNode, b: TreeNode) -> float:
@@ -171,6 +194,10 @@ def _rename_cost(a: TreeNode, b: TreeNode) -> float:
     if not a.content and not b.content:
         return 0.0
     return levenshtein(a.content, b.content) / max(len(a.content), len(b.content))
+
+
+def _label(node: TreeNode) -> tuple:
+    return (node.tag, node.colspan, node.rowspan, node.content)
 
 
 def _annotate(root: TreeNode) -> tuple[list[TreeNode], list[int], list[int]]:
@@ -205,6 +232,13 @@ def tree_edit_distance(root1: TreeNode, root2: TreeNode) -> float:
     nodes1, lml1, keyroots1 = _annotate(root1)
     nodes2, lml2, keyroots2 = _annotate(root2)
     size1, size2 = len(nodes1), len(nodes2)
+    # a rename cost depends only on the two labels, so it is computed once
+    # per distinct pair of labels (keyed by label ids)
+    label_ids: dict[tuple, int] = {}
+    ids1 = [label_ids.setdefault(_label(n), len(label_ids)) for n in nodes1]
+    ids2 = [label_ids.setdefault(_label(n), len(label_ids)) for n in nodes2]
+    n_labels = len(label_ids)
+    costs: dict[int, float] = {}
     td = [[0.0] * (size2 + 1) for _ in range(size1 + 1)]
 
     for i in keyroots1:
@@ -223,10 +257,14 @@ def tree_edit_distance(root1: TreeNode, root2: TreeNode) -> float:
                 row = fd[x]
                 above = fd[x - 1]
                 whole_left = lml1[node_x] == lml1[i]
+                key_x = ids1[node_x - 1] * n_labels
                 for y in range(1, n + 1):
                     node_y = y + joff
                     if whole_left and lml2[node_y] == lml2[j]:
-                        cost = _rename_cost(nodes1[node_x - 1], nodes2[node_y - 1])
+                        key = key_x + ids2[node_y - 1]
+                        cost = costs.get(key)
+                        if cost is None:
+                            cost = costs[key] = _rename_cost(nodes1[node_x - 1], nodes2[node_y - 1])
                         best = min(above[y] + 1.0, row[y - 1] + 1.0, above[y - 1] + cost)
                         row[y] = best
                         td[node_x][node_y] = best
@@ -243,6 +281,8 @@ def tree_edit_distance(root1: TreeNode, root2: TreeNode) -> float:
 
 def teds(pred_html: str, gold_html: str) -> float:
     """Similarity in [0, 1]; 1 means the table trees match exactly."""
+    if pred_html == gold_html:
+        return 1.0
     t1 = html_to_tree(pred_html)
     t2 = html_to_tree(gold_html)
     distance = tree_edit_distance(t1, t2)

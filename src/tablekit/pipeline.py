@@ -13,6 +13,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -399,10 +400,13 @@ def cmd_synth(
         )
         for tid in referenced
     ]
-    rendered = _render_all(jobs, workers)
-
     out = Path(out_dir)
     images_dir = out / "images"
+    # images from an earlier run into the same directory would outlive the
+    # manifest that no longer lists them
+    if images_dir.is_dir():
+        shutil.rmtree(images_dir)
+    rendered = _render_all(jobs, workers)
     images_dir.mkdir(parents=True, exist_ok=True)
 
     digests: dict[str, str] = {}

@@ -7,6 +7,7 @@ expectations are derived from a second route, not from the code under test.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from itertools import combinations
@@ -222,6 +223,24 @@ def _lev_recursive(a: str, b: str) -> int:
     return go(0, 0)
 
 
+def levenshtein(a: str, b: str) -> int:
+    """The package's former list DP, O(mn), kept as the reference for the
+    bit-parallel implementation."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[len(b)]
+
+
 def rename_cost(n1: tuple, n2: tuple) -> float:
     tag1, content1, cs1, rs1 = n1[0], n1[1], n1[2], n1[3]
     tag2, content2, cs2, rs2 = n2[0], n2[1], n2[2], n2[3]
@@ -359,3 +378,58 @@ def reference_bleu(pairs: list[tuple[str, str]]) -> float:
         log_sum += math.log(m / t) / len(active)
     bp = 1.0 if pred_len > ref_len else math.exp(1.0 - ref_len / pred_len)
     return 100.0 * bp * math.exp(log_sum)
+
+
+# ---------------------------------------------------------------------------
+# JSON object extraction: the package's former quadratic scan, one
+# string-aware brace match per '{', kept as the reference for the one-pass scan
+# ---------------------------------------------------------------------------
+
+
+def _match_brace(text: str, start: int) -> int | None:
+    """Index of the brace closing text[start] ('{'), string-aware."""
+    depth = 0
+    in_string = False
+    escaped = False
+    for i in range(start, len(text)):
+        ch = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return None
+
+
+def _last_json_object(text: str) -> dict | None:
+    spans: list[tuple[int, int]] = []
+    i = 0
+    while i < len(text):
+        if text[i] == "{":
+            end = _match_brace(text, i)
+            if end is None:
+                i += 1
+            else:
+                spans.append((i, end + 1))
+                i = end + 1
+        else:
+            i += 1
+    for start, end in reversed(spans):
+        try:
+            value = json.loads(text[start:end])
+        except (json.JSONDecodeError, RecursionError):
+            continue
+        if isinstance(value, dict):
+            return value
+    return None

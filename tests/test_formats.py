@@ -18,6 +18,8 @@ from tablekit.formats import (
     parse,
     serialize,
 )
+from tablekit.metrics.evaluate import score_sample
+from tablekit.taskdefs import TaskKind
 
 from oracles import random_table_dict
 
@@ -148,6 +150,24 @@ def test_parse_latex_errors():
     # non-empty cell where a multirow continuation slot is expected
     with pytest.raises(ParseError):
         parse("\\begin{tabular}{c}\\multirow{2}{*}{a} \\\\ boom \\\\\\end{tabular}", TEX)
+
+
+def test_parse_latex_bracket_text_after_row_break_is_a_cell():
+    table = Table(2, 2, (
+        AnchorCell(1, 1, content="a"),
+        AnchorCell(1, 2, content="b"),
+        AnchorCell(2, 1, content="[x]"),
+        AnchorCell(2, 2, content="d"),
+    ))
+    back, _ = parse(serialize(table, TEX), TEX)
+    assert back == table
+
+
+def test_parse_latex_row_break_length_argument_is_consumed():
+    src = "\\begin{tabular}{cc}\na & b \\\\[2pt]\nc & d \\\\ [-1.5ex] e & f \\\\\n\\end{tabular}"
+    table, _ = parse(src, TEX)
+    assert (table.n_rows, table.n_cols) == (3, 2)
+    assert [a.content for a in table.anchors] == ["a", "b", "c", "d", "e", "f"]
 
 
 # ------------------------------------------------------------- serialize
@@ -282,6 +302,51 @@ def test_convert_repairs_broken_spans():
     html, diag = convert('<table><tr><td rowspan="9">a</td><td>b</td></tr><tr><td>c</td></tr></table>', HTML)
     assert html == '<table><tr><td rowspan="2">a</td><td>b</td></tr><tr><td>c</td></tr></table>'
     assert diag.recovered
+
+
+def test_convert_slides_a_cell_past_every_position_it_would_overlap():
+    # c's second column is covered by b's row span: c moves right whole
+    src = '<table><tr><td>a</td><td rowspan="3">b</td></tr><tr><td colspan="2">c</td></tr></table>'
+    html, diag = convert(src, HTML)
+    assert diag.recovered
+    assert html == (
+        '<table><tr><td>a</td><td rowspan="2">b</td><td></td><td></td></tr>'
+        '<tr><td></td><td colspan="2">c</td></tr></table>'
+    )
+    tex = "\\begin{tabular}{cc}\na & \\multirow{2}{*}{b} \\\\\n\\multicolumn{2}{c}{c} \\\\\n\\end{tabular}"
+    assert convert(tex, TEX) == (html, diag)
+
+
+_EDIT_CHARS = '<>/"=&{}\\|123 trdspanclow'
+
+
+def _edit_chars(text: str, rng: random.Random) -> str:
+    """1 to 10 random insertions, deletions and substitutions."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 10)):
+        op = rng.randrange(3)
+        i = rng.randrange(len(chars) + (op == 0))
+        if op == 0:
+            chars.insert(i, rng.choice(_EDIT_CHARS))
+        elif chars:
+            if op == 1:
+                del chars[i]
+            else:
+                chars[i] = rng.choice(_EDIT_CHARS)
+    return "".join(chars)
+
+
+def test_convert_and_tr_scoring_survive_edited_span_tables():
+    rng = random.Random(12)
+    for _ in range(300):
+        table = table_from_dict(random_table_dict(rng, max_rows=6, max_cols=6))
+        for fmt in (HTML, TEX):
+            gold = serialize(table, fmt)
+            text = _edit_chars(gold, rng)
+            html, _ = convert(text, fmt)
+            assert html.startswith("<table")
+            record = score_sample(TaskKind.TR, text, {"answer": gold}, fmt.value)
+            assert 0.0 <= record["teds"] <= 1.0
 
 
 def test_convert_flattens_nested_tables():

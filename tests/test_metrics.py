@@ -6,6 +6,7 @@ import json
 import math
 import random
 import string
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from tablekit.metrics.evaluate import (
     score_tr,
     score_tsd,
 )
+from tablekit.metrics import extraction
 from tablekit.metrics.extraction import ExtractionStatus, extract_json_answer
 from tablekit.metrics.teds import (
     TreeNode,
@@ -162,6 +164,22 @@ def test_levenshtein_matches_recursive_oracle():
         assert levenshtein(a, b) == oracles._lev_recursive(a, b)
 
 
+def test_levenshtein_matches_list_dp_reference():
+    # lengths around 64 and 128: the word boundaries of fixed-width versions of the method
+    rng = random.Random(409)
+    alphabets = ["ab", "abcx", "a\u00e9\u4e2d \U0001f600", string.ascii_letters + string.digits]
+    lengths = [0, 1, 2, 7, 31, 63, 64, 65, 127, 128, 129, 200, 300]
+    for _ in range(150):
+        alphabet = rng.choice(alphabets)
+        a = "".join(rng.choice(alphabet) for _ in range(rng.choice(lengths)))
+        b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 300)))
+        if rng.random() < 0.3:  # a near copy
+            b = "".join(ch for ch in a if rng.random() < 0.9)
+        want = oracles.levenshtein(a, b)
+        assert levenshtein(a, b) == want, (a, b)
+        assert levenshtein(b, a) == want, (b, a)
+
+
 # ---------------------------------------------------------------------------
 # tree edit distance and TEDS
 # ---------------------------------------------------------------------------
@@ -224,6 +242,20 @@ def test_teds_self_similarity_on_random_trees():
     for _ in range(30):
         html = tuple_to_html(oracles.random_tree(rng, max_nodes=12))
         assert teds(html, html) == 1.0
+
+
+def test_teds_long_cells_time_bounded():
+    rng = random.Random(410)
+    a = "".join(rng.choice("abcdef") for _ in range(3000))
+    # 37 substitutions by a letter absent from a: the distance is exactly 37
+    b = list(a)
+    for i in rng.sample(range(3000), 37):
+        b[i] = "Z"
+    b = "".join(b)
+    start = time.perf_counter()
+    got = teds(f"<table><tr><td>{a}</td></tr></table>", f"<table><tr><td>{b}</td></tr></table>")
+    assert time.perf_counter() - start < 0.5
+    assert abs(got - (1.0 - (37 / 3000) / 3)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +436,30 @@ def test_extract_never_raises_on_fuzz():
             assert isinstance(result.payload, dict)
 
 
+def test_extract_matches_reference_on_random_brace_strings(monkeypatch):
+    rng = random.Random(411)
+    tasks = list(TaskKind) + [None]
+    cases = [
+        ("".join(rng.choice('{}[]"\\:,a1 ') for _ in range(rng.randint(0, 40))), tasks[i % len(tasks)])
+        for i in range(20000)
+    ]
+    got = [extract_json_answer(text, task) for text, task in cases]
+    monkeypatch.setattr(extraction, "_last_json_object", oracles._last_json_object)
+    want = [extract_json_answer(text, task) for text, task in cases]
+    for (text, _), g, w in zip(cases, got, want):
+        assert (g.status, g.payload) == (w.status, w.payload), text
+
+
+@pytest.mark.parametrize(
+    "text", ["{" * 50000, '{"a":' * 20000, '"{' * 20000], ids=["braces", "keys", "quoted"]
+)
+def test_extract_time_bounded_on_brace_floods(text):
+    start = time.perf_counter()
+    result = extract_json_answer(text)
+    assert time.perf_counter() - start < 1.0
+    assert result.status is ExtractionStatus.RAW_TEXT
+
+
 # ---------------------------------------------------------------------------
 # scoring units
 # ---------------------------------------------------------------------------
@@ -548,6 +604,31 @@ def test_score_sample_tr_accepts_bare_table_text():
     bare = score_sample(TaskKind.TR, md, gold, "markdown")
     assert bare["extraction"] == "raw_text"
     assert bare["teds"] == 1.0
+
+
+def test_score_sample_tr_raw_latex_with_empty_spanning_cell():
+    table = table_from_dict(
+        {
+            "n_rows": 2,
+            "n_cols": 2,
+            "caption": None,
+            "anchors": [
+                {"row": 1, "col": 1, "col_span": 2, "content": ""},
+                {"row": 2, "col": 1, "content": "x"},
+                {"row": 2, "col": 2, "content": "y"},
+            ],
+        }
+    )
+    tex = serialize(table, TableFormat.LATEX)
+    assert "\\multicolumn{2}{c}{}" in tex
+    gold = {"answer": tex}
+    # the {} of the empty cell is no answer object: the text is the table
+    bare = score_sample(TaskKind.TR, tex, gold, "latex")
+    assert bare["extraction"] == "raw_text"
+    assert bare["teds"] == 1.0
+    wrapped = score_sample(TaskKind.TR, json.dumps(gold), gold, "latex")
+    assert wrapped["extraction"] == "parsed_json"
+    assert wrapped["teds"] == 1.0
 
 
 # ---------------------------------------------------------------------------

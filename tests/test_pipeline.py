@@ -239,6 +239,26 @@ def test_cmd_synth_identical_across_worker_counts(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_cmd_synth_reused_out_keeps_only_listed_images(tmp_path):
+    rng = random.Random(502)
+    out = tmp_path / "out"
+    for prefix, n in (("a", 3), ("b", 2)):
+        corpus = tmp_path / f"corpus_{prefix}"
+        corpus.mkdir()
+        for i in range(n):
+            data = oracles.random_table_dict(rng)
+            (corpus / f"{prefix}{i}.json").write_text(json.dumps(data), encoding="utf-8")
+        path = tmp_path / f"config_{prefix}.json"
+        path.write_text(
+            json.dumps({"corpus_dir": corpus.name, "master_seed": 17, "counts": {"tsd": [n, 0]}}),
+            encoding="utf-8",
+        )
+        manifest = cmd_synth(PipelineConfig.from_file(path), out)
+    listed = {rel for rel in manifest["files"] if rel.startswith("images/")}
+    on_disk = {f"images/{p.name}" for p in (out / "images").iterdir()}
+    assert on_disk == listed == {"images/b0.svg", "images/b1.svg"}
+
+
 def test_cmd_synth_seed_changes_output(tmp_path):
     _make_corpus(tmp_path)
     config = PipelineConfig.from_file(_write_config(tmp_path, COUNTS))
