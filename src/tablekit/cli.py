@@ -52,7 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     render.add_argument("--out", required=True, help="output image path")
     render.add_argument("--seed", type=int, default=0, help="style draw seed")
     render.add_argument("--format", choices=("svg", "png"), default="svg")
-    render.add_argument("--dpi", type=int, default=96)
+    render.add_argument(
+        "--dpi", type=int, default=None, help="raster dpi (default: the config's raster_dpi, or 96)"
+    )
     render.add_argument("--config", default=None, help="pipeline config JSON (style + rasterizer)")
 
     conv = sub.add_parser("convert", help="convert one table file to another format")

@@ -118,12 +118,25 @@ def validate(table: Table) -> ValidationVerdict:
     return ValidationVerdict(True)
 
 
+def checked(table: Table) -> ValidationVerdict:
+    """validate(table), run at most once per Table instance.
+
+    A Table is frozen, so its verdict cannot change; it is kept on the
+    instance. dataclasses.replace builds a new instance, checked afresh.
+    """
+    verdict = table.__dict__.get("_verdict")
+    if verdict is None:
+        verdict = validate(table)
+        object.__setattr__(table, "_verdict", verdict)
+    return verdict
+
+
 def expand_grid(table: Table) -> Grid:
     """Expand anchors into the full positional matrix.
 
     Raises InvalidTable when the table does not validate.
     """
-    verdict = validate(table)
+    verdict = checked(table)
     if not verdict:
         raise InvalidTable(verdict.problem)
     matrix: list[list[AnchorCell | None]] = [[None] * table.n_cols for _ in range(table.n_rows)]

@@ -35,6 +35,7 @@ __all__ = [
     "serialize",
     "convert",
     "detect_format",
+    "sniff_format",
 ]
 
 _PARSERS = {
@@ -60,6 +61,15 @@ _EXTENSIONS = {
 
 def detect_format(path: str | Path) -> TableFormat | None:
     return _EXTENSIONS.get(Path(path).suffix.lower())
+
+
+def sniff_format(table_text: str) -> TableFormat:
+    """The format a table's text is written in, judged from the text alone."""
+    if table_text.lstrip().startswith("<"):
+        return TableFormat.HTML
+    if "\\begin{tabular}" in table_text:
+        return TableFormat.LATEX
+    return TableFormat.MARKDOWN
 
 
 def parse(src: str, fmt: TableFormat) -> tuple[Table, ParseDiagnostics]:

@@ -91,8 +91,9 @@ def assemble(
     the result never overlaps.
 
     Strict mode raises ParseError for spans that run past the last row, for
-    interior gaps, and for placeholder collisions; ragged right edges are
-    padded with empty cells and recorded as warnings in both modes.
+    interior gaps, for placeholder collisions and for a cell any of whose
+    positions is already covered; ragged right edges are padded with empty
+    cells and recorded as warnings in both modes.
     """
     rows = buffer.rows
     warn = buffer.warnings
@@ -138,6 +139,10 @@ def assemble(
                     raise ParseError(f"row {r}", f"row span runs past the last row at column {c}")
             if tolerant:
                 c = _free_column(occupied, r, c, row_span, col_span)
+            elif col_span > 1 and any((r, cc) in occupied for cc in range(c + 1, c + col_span)):
+                # (r, c) is free here, and a span from an earlier row that
+                # covers a position of this cell covers row r as well
+                raise ParseError(f"row {r}", f"overlapping span at column {c}")
             if tolerant and c + col_span - 1 > MAX_COLS:
                 col_span = max(1, MAX_COLS - c + 1)
                 if c > MAX_COLS:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from html.parser import HTMLParser
 
-from ..core import Table, validate
+from ..core import Table, checked
 from .common import (
     MAX_SPAN,
     ParseError,
@@ -186,7 +186,7 @@ def escape_html(text: str) -> str:
 def serialize_html(table: Table) -> str:
     """Canonical single-line form: rowspan before colspan, spans only when > 1,
     minimal entity encoding."""
-    verdict = validate(table)
+    verdict = checked(table)
     if not verdict:
         raise ValueError(f"cannot serialize invalid table: {verdict.problem}")
     parts = ["<table>"]

@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import re
 
-from ..core import Table, validate
+from ..core import Table, checked
 from .common import ParseError, RawCell, RowBuffer, assemble
 
 _ESCAPES = {"&": "\\&", "%": "\\%", "#": "\\#", "_": "\\_", "{": "\\{", "}": "\\}"}
 _RULE = re.compile(r"\\(?:hline|toprule|midrule|bottomrule)\b|\\cline\s*\{[^}]*\}")
+_LENGTH = r"\[\s*[-+]?(?:\d+(?:\.\d*)?|\.\d+)\s*(?:pt|mm|cm|in|ex|em|bp|pc|dd|cc|sp|mu)\s*\]"
 # a row break, with its optional [<length>] argument; a bracket group that
 # holds no TeX length is the next row's text
-_ROW_SPLIT = re.compile(
-    r"\\\\(?:\s*\[\s*[-+]?(?:\d+(?:\.\d*)?|\.\d+)\s*(?:pt|mm|cm|in|ex|em|bp|pc|dd|cc|sp|mu)\s*\])?"
-)
+_ROW_SPLIT = re.compile(r"\\\\(?:\s*" + _LENGTH + ")?")
+# row text that the row break before it would read as its argument
+_LEADING_LENGTH = re.compile(r"\s*" + _LENGTH)
 _MULTICOLUMN = re.compile(r"\\multicolumn\s*")
 _MULTIROW = re.compile(r"\\multirow\s*")
 
@@ -174,9 +175,11 @@ def escape_latex(text: str) -> str:
 
 def serialize_latex(table: Table) -> str:
     """Canonical tabular: plain c columns, anchors carry \\multicolumn and
-    \\multirow, covered continuation slots hold empty placeholders. Header
-    flags and captions have no representation here."""
-    verdict = validate(table)
+    \\multirow, covered continuation slots hold empty placeholders. A row
+    break takes an explicit [0pt] when the next row's text starts with a
+    bracketed TeX length. Header flags and captions have no representation
+    here."""
+    verdict = checked(table)
     if not verdict:
         raise ValueError(f"cannot serialize invalid table: {verdict.problem}")
     span_map: dict[tuple[int, int], object] = {}
@@ -185,6 +188,7 @@ def serialize_latex(table: Table) -> str:
             for c in range(a.col, a.col + a.col_span):
                 span_map[(r, c)] = a
     lines = ["\\begin{tabular}{" + "c" * table.n_cols + "}"]
+    rows: list[str] = []
     for r in range(1, table.n_rows + 1):
         cells: list[str] = []
         c = 1
@@ -204,6 +208,10 @@ def serialize_latex(table: Table) -> str:
                 else:
                     cells.append("")
             c += a.col_span
-        lines.append(" & ".join(cells) + " \\\\")
+        rows.append(" & ".join(cells))
+    for row, following in zip(rows, rows[1:] + [""]):
+        # an explicit [0pt] keeps text such as "[2pt]" at the start of the
+        # next row from being read as this break's argument
+        lines.append(row + (" \\\\[0pt]" if _LEADING_LENGTH.match(following) else " \\\\"))
     lines.append("\\end{tabular}")
     return "\n".join(lines)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-from ..core import Table, validate
+from ..core import Table, checked
 from .common import ParseError, RawCell, RowBuffer, UnrepresentableInFormat, assemble
 
 _SEPARATOR_CELL = re.compile(r"^:?-+:?$")
@@ -105,7 +105,7 @@ def _escape_cell(text: str) -> str:
 def serialize_markdown(table: Table) -> str:
     """Canonical pipe table. Row 1 becomes the header line; merged cells and
     captions have no representation here."""
-    verdict = validate(table)
+    verdict = checked(table)
     if not verdict:
         raise ValueError(f"cannot serialize invalid table: {verdict.problem}")
     if table.has_spans():

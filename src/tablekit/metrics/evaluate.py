@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..formats import convert
+from ..formats import convert, sniff_format
 from ..formats.common import TableFormat
 from ..taskdefs import TaskKind
 from .bleu import bleu
@@ -155,15 +155,6 @@ def score_rce(payload: object, gold: Mapping) -> float:
         pred_set = _line_set(pred_lines.get(str(key)))
         scores.append(score_set_f1(pred_set, gold_set)[2])
     return sum(scores) / len(scores)
-
-
-def _sniff_format(table_text: str) -> TableFormat:
-    head = table_text.lstrip()
-    if head.startswith("<"):
-        return TableFormat.HTML
-    if "\\begin{tabular}" in table_text:
-        return TableFormat.LATEX
-    return TableFormat.MARKDOWN
 
 
 def score_tr(pred_text: object, pred_fmt: TableFormat, gold_html: str) -> float:
@@ -332,7 +323,7 @@ def _zero_scores(task: TaskKind, gold_answer: Mapping, tr_format: str | None) ->
         return {"f1": 0.0, "axis": gold_answer.get("axis", "row")}
     if task is TaskKind.TR:
         gold_table = str(gold_answer.get("answer", ""))
-        fmt = TableFormat(tr_format) if tr_format else _sniff_format(gold_table)
+        fmt = TableFormat(tr_format) if tr_format else sniff_format(gold_table)
         return {"teds": 0.0, "format": fmt.value}
     gold_text = gold_answer.get("answer", "")
     return {
@@ -370,7 +361,7 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
         record["axis"] = gold_answer.get("axis", "row")
     elif task is TaskKind.TR:
         gold_table = str(gold_answer.get("answer", ""))
-        fmt = TableFormat(tr_format) if tr_format else _sniff_format(gold_table)
+        fmt = TableFormat(tr_format) if tr_format else sniff_format(gold_table)
         gold_html, _ = convert(gold_table, fmt)
         if isinstance(payload, dict) and "answer" not in payload:
             # an object without an answer is part of the table text, such as

@@ -13,14 +13,15 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .core import Table, table_from_dict, table_to_dict, validate
-from .formats import detect_format, parse, serialize
+from .core import Table, checked, table_from_dict
+from .formats import detect_format, parse, serialize, sniff_format
 from .formats.common import ParseError, TableFormat, UnrepresentableInFormat
 from .metrics.evaluate import MetricReport, evaluate
 from .render import (
@@ -28,13 +29,14 @@ from .render import (
     CommandRasterizer,
     StyleFamily,
     StyleMix,
+    StyleSpec,
     load_style_ranges,
     rasterize,
     render_svg,
     sample_style,
 )
 from .taskdefs import TaskKind
-from .tasks import SynthConfig, SynthResult, style_seed, synthesize
+from .tasks import SynthConfig, SynthResult, synthesize
 from .templates import default_pool, load_pool
 
 
@@ -227,18 +229,21 @@ class CorpusLoad:
 _CORPUS_SUFFIXES = (".json", ".html", ".htm", ".md", ".markdown", ".tex")
 
 
-def _load_table_file(path: Path) -> Table:
+def _load_table_file(path: Path, source_id: str | None = None) -> Table:
+    """One valid table from a file; source_id, when given, replaces the file's own."""
     text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
         table = table_from_dict(json.loads(text))
     else:
         fmt = detect_format(path)
         if fmt is None:
-            raise ParseError(f"unsupported extension {path.suffix!r}")
+            raise ParseError(str(path), f"unsupported extension {path.suffix!r}")
         table, _diag = parse(text, fmt)
-    verdict = validate(table)
+    if source_id is not None:
+        table = dataclasses.replace(table, source_id=source_id)
+    verdict = checked(table)
     if not verdict.ok:
-        raise ParseError(f"invalid table: {verdict.problem}")
+        raise ParseError(str(path), f"invalid table: {verdict.problem}")
     return table
 
 
@@ -257,56 +262,59 @@ def load_corpus(corpus_dir: str | Path) -> CorpusLoad:
     seen_ids: dict[str, int] = {}
     paths = sorted(p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in _CORPUS_SUFFIXES)
     for path in paths:
+        stem = path.stem
+        n = seen_ids.get(stem, 0) + 1
         try:
-            table = _load_table_file(path)
+            table = _load_table_file(path, stem if n == 1 else f"{stem}-{n}")
         except Exception as exc:  # malformed corpus entries must never abort the run
             skipped.append((str(path), str(exc)))
             continue
-        stem = path.stem
-        n = seen_ids.get(stem, 0) + 1
         seen_ids[stem] = n
-        table_id = stem if n == 1 else f"{stem}-{n}"
-        tables.append(dataclasses.replace(table, source_id=table_id))
+        tables.append(table)
     return CorpusLoad(tables=tables, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
-# rendering (worker-safe pure function)
+# rendering: each worker gets the job map once and writes its own SVGs
 # ---------------------------------------------------------------------------
 
+RenderJob = tuple[Table, StyleSpec, Path]  # table, its style, the SVG path
 
-def _render_table_svg(job: tuple[dict, int, dict, dict | None]) -> tuple[str, str]:
-    """(table dict, style seed, mix weights by name, ranges) -> (id, svg)."""
-    table_dict, seed, weights, ranges = job
-    table = table_from_dict(table_dict)
-    mix = StyleMix({StyleFamily(name): w for name, w in weights.items()})
-    spec = sample_style(mix, seed, ranges)
-    return table_dict["source_id"], render_svg(table, spec)
+_worker_jobs: dict[str, RenderJob] = {}  # a render worker's job map, by table id
 
 
-def _render_all(
-    jobs: Sequence[tuple[dict, int, dict, dict | None]], workers: int
-) -> list[tuple[str, str]]:
+def _set_worker_jobs(jobs: dict[str, RenderJob]) -> None:
+    """Pool initializer: the job map reaches each worker once, not per job."""
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _write_svg(table: Table, style: StyleSpec, path: Path) -> str:
+    """Renders the table, writes the SVG and returns its sha256."""
+    data = render_svg(table, style).encode("utf-8")
+    path.write_bytes(data)
+    return _sha256(data)
+
+
+def _render_job(table_id: str) -> str:
+    return _write_svg(*_worker_jobs[table_id])
+
+
+def _render_all(jobs: dict[str, RenderJob], workers: int) -> list[str]:
+    """The sha256 of each job's SVG, in the order of jobs."""
     if workers <= 1 or len(jobs) < 2:
-        return [_render_table_svg(job) for job in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        # map preserves input order, so the write order (and every digest)
-        # is independent of scheduling
-        return list(pool.map(_render_table_svg, jobs, chunksize=8))
+        return [_write_svg(*job) for job in jobs.values()]
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_worker_jobs, initargs=(jobs,)
+    ) as pool:
+        # map preserves input order, so every digest lands in its place
+        # whatever the scheduling
+        return list(pool.map(_render_job, jobs, chunksize=8))
 
 
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
-
-
-def _sniff_format_name(table_text: str) -> str:
-    head = table_text.lstrip()
-    if head.startswith("<"):
-        return "html"
-    if "\\begin{tabular}" in table_text:
-        return "latex"
-    return "markdown"
 
 
 def _record_task_counts(records: Sequence[dict]) -> dict[str, int]:
@@ -334,10 +342,10 @@ def _tr_format_mix(records: Sequence[dict]) -> dict[str, float]:
         if turns:
             for turn in turns:
                 if turn["task"] == TaskKind.TR.value:
-                    names.append(_sniff_format_name(str(turn["gold_answer"].get("answer", ""))))
+                    names.append(sniff_format(str(turn["gold_answer"].get("answer", ""))).value)
         elif record["task"] == TaskKind.TR.value:
             fmt = record.get("meta", {}).get("tr_format")
-            names.append(fmt or _sniff_format_name(str(record["gold_answer"].get("answer", ""))))
+            names.append(fmt or sniff_format(str(record["gold_answer"].get("answer", ""))).value)
     if not names:
         return {}
     return {
@@ -370,7 +378,14 @@ def cmd_synth(
     seed: int | None = None,
     workers: int = 1,
 ) -> dict:
-    """Builds the dataset under out_dir and returns the manifest dict."""
+    """Builds the dataset under out_dir and returns the manifest dict.
+
+    manifest.json is removed first and written last, so a run that stops
+    part way never leaves a directory that looks complete.
+    """
+    out = Path(out_dir)
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     corpus = load_corpus(config._resolve(config.corpus_dir))
     synth_config = config.to_synth_config(seed_override=seed)
     style_mix = config.resolve_style_mix()
@@ -388,26 +403,12 @@ def cmd_synth(
     )
     records = [s.to_dict() for s in result.samples]
 
-    referenced = sorted({r["table_id"] for r in records})
-    by_id = {t.source_id: t for t in corpus.tables}
-    weights = {family.value: w for family, w in style_mix.weights.items()}
-    jobs = [
-        (
-            table_to_dict(by_id[tid]),
-            style_seed(synth_config.master_seed, tid),
-            weights,
-            style_ranges,
-        )
-        for tid in referenced
-    ]
-    out = Path(out_dir)
     images_dir = out / "images"
     # images from an earlier run into the same directory would outlive the
     # manifest that no longer lists them
     if images_dir.is_dir():
         shutil.rmtree(images_dir)
-    rendered = _render_all(jobs, workers)
-    images_dir.mkdir(parents=True, exist_ok=True)
+    images_dir.mkdir(parents=True)
 
     digests: dict[str, str] = {}
     samples_bytes = (
@@ -417,10 +418,14 @@ def cmd_synth(
     ).encode("utf-8")
     (out / "samples.jsonl").write_bytes(samples_bytes)
     digests["samples.jsonl"] = _sha256(samples_bytes)
-    for table_id, svg in rendered:
-        data = svg.encode("utf-8")
-        (images_dir / f"{table_id}.svg").write_bytes(data)
-        digests[f"images/{table_id}.svg"] = _sha256(data)
+
+    by_id = {t.source_id: t for t in corpus.tables}
+    jobs = {
+        tid: (by_id[tid], result.styles[tid], images_dir / f"{tid}.svg")
+        for tid in sorted({r["table_id"] for r in records})
+    }
+    for tid, digest in zip(jobs, _render_all(jobs, workers)):
+        digests[f"images/{tid}.svg"] = digest
 
     manifest = {
         "version": __version__,
@@ -436,10 +441,12 @@ def cmd_synth(
         "tr_format_mix_achieved": _tr_format_mix(records),
         "files": dict(sorted(digests.items())),
     }
-    (out / "manifest.json").write_text(
+    partial = out / "manifest.json.tmp"
+    partial.write_text(
         json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
+    os.replace(partial, manifest_path)
     return manifest
 
 
@@ -542,10 +549,13 @@ def cmd_render(
     *,
     seed: int = 0,
     image_format: str = "svg",
-    dpi: int = 96,
+    dpi: int | None = None,
     config: PipelineConfig | None = None,
 ) -> Path:
-    """Renders one table file to SVG (or PNG via the configured rasterizer)."""
+    """Renders one table file to SVG (or PNG via the configured rasterizer).
+
+    A PNG is rasterized at dpi when given, else at the config's raster_dpi.
+    """
     table = _load_table_file(Path(input_path))
     mix = config.resolve_style_mix() if config is not None else DEFAULT_STYLE_MIX
     ranges = config.resolve_style_ranges() if config is not None else None
@@ -559,6 +569,8 @@ def cmd_render(
         raise PipelineConfigError(f"unsupported image format {image_format!r}")
     command = config.rasterizer_command if config is not None else None
     backend = CommandRasterizer(command) if command else None
+    if dpi is None:
+        dpi = config.raster_dpi if config is not None else 96
     out.write_bytes(rasterize(svg, dpi=dpi, backend=backend))
     return out
 

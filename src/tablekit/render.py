@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
-from .core import AnchorCell, Table, expand_grid
+from .core import AnchorCell, InvalidTable, Table, checked
 from .textmetrics import line_height, text_width, wrap_text
 
 MIN_COL_WIDTH = 24
@@ -150,35 +150,39 @@ def layout(table: Table, style: StyleSpec) -> LayoutPlan:
     """Column widths from unwrapped text estimates (clamped), row heights from
     wrapped line counts. Spanned anchors wrap inside their combined extent and
     do not drive the per-column/per-row derivation."""
-    expand_grid(table)  # raises on invalid tables
+    verdict = checked(table)
+    if not verdict:
+        raise InvalidTable(verdict.problem)
     pad = style.cell_padding
     border = style.border_width
     lh = line_height(style.font_size)
 
-    widths: list[int] = []
-    for c in range(1, table.n_cols + 1):
-        est = 0.0
-        for a in table.anchors:
-            if a.col_span == 1 and a.col == c:
-                est = max(est, text_width(a.content, style.font_family, style.font_size))
-        w = max(MIN_COL_WIDTH, min(math.ceil(est) + 2 * pad, style.max_col_width))
-        widths.append(w)
+    estimates = [0.0] * table.n_cols
+    for a in table.anchors:
+        if a.col_span == 1:
+            estimates[a.col - 1] = max(
+                estimates[a.col - 1], text_width(a.content, style.font_family, style.font_size)
+            )
+    widths = [
+        max(MIN_COL_WIDTH, min(math.ceil(est) + 2 * pad, style.max_col_width)) for est in estimates
+    ]
+
+    xs = [border]  # left edge of each column, and the grid's right border
+    for w in widths:
+        xs.append(xs[-1] + w + border)
 
     anchors = sorted(table.anchors, key=lambda a: (a.row, a.col))
     wrapped: list[tuple[str, ...]] = []
+    n_lines = [1] * table.n_rows
     for a in anchors:
-        avail = sum(widths[a.col - 1 : a.col - 1 + a.col_span]) + (a.col_span - 1) * border - 2 * pad
-        wrapped.append(tuple(wrap_text(a.content, style.font_family, style.font_size, max(avail, 1))))
+        avail = xs[a.col - 1 + a.col_span] - xs[a.col - 1] - border - 2 * pad
+        lines = tuple(wrap_text(a.content, style.font_family, style.font_size, max(avail, 1)))
+        wrapped.append(lines)
+        if a.row_span == 1:
+            n_lines[a.row - 1] = max(n_lines[a.row - 1], len(lines))
+    heights = [n * lh + 2 * pad for n in n_lines]
 
-    heights: list[int] = []
-    for r in range(1, table.n_rows + 1):
-        n_lines = 1
-        for a, lines in zip(anchors, wrapped):
-            if a.row_span == 1 and a.row == r:
-                n_lines = max(n_lines, len(lines))
-        heights.append(n_lines * lh + 2 * pad)
-
-    grid_w = sum(widths) + (table.n_cols + 1) * border
+    grid_w = xs[-1]
     caption_lines: tuple[str, ...] = ()
     caption_height = 0
     if table.caption is not None and style.family is StyleFamily.WEB_PAGE:
@@ -187,30 +191,31 @@ def layout(table: Table, style: StyleSpec) -> LayoutPlan:
         )
         caption_height = len(caption_lines) * lh + 2 * pad
 
-    xs = [border]
-    for w in widths:
-        xs.append(xs[-1] + w + border)
-    ys = [caption_height + border]
+    ys = [caption_height + border]  # top edge of each row, and the grid's bottom border
     for h in heights:
         ys.append(ys[-1] + h + border)
 
-    boxes: list[tuple[AnchorCell, Box]] = []
-    for a in anchors:
-        x = xs[a.col - 1]
-        y = ys[a.row - 1]
-        w = sum(widths[a.col - 1 : a.col - 1 + a.col_span]) + (a.col_span - 1) * border
-        h = sum(heights[a.row - 1 : a.row - 1 + a.row_span]) + (a.row_span - 1) * border
-        boxes.append((a, Box(x, y, w, h)))
+    boxes = tuple(
+        (
+            a,
+            Box(
+                xs[a.col - 1],
+                ys[a.row - 1],
+                xs[a.col - 1 + a.col_span] - xs[a.col - 1] - border,
+                ys[a.row - 1 + a.row_span] - ys[a.row - 1] - border,
+            ),
+        )
+        for a in anchors
+    )
 
-    total = (grid_w, caption_height + sum(heights) + (table.n_rows + 1) * border)
     return LayoutPlan(
         col_widths=tuple(widths),
         row_heights=tuple(heights),
-        boxes=tuple(boxes),
+        boxes=boxes,
         wrapped=tuple(wrapped),
         caption_lines=caption_lines,
         caption_height=caption_height,
-        total_size=total,
+        total_size=(grid_w, ys[-1]),
     )
 
 
@@ -270,6 +275,9 @@ def render_svg(table: Table, style: StyleSpec, plan: LayoutPlan | None = None) -
         )
 
     stroke = _GRID_STROKE.get(style.family)
+    stroke_attr = (
+        f' stroke="{stroke}" stroke-width="{style.border_width}"' if stroke and not is_md else ""
+    )
     for (a, box), lines in zip(plan.boxes, plan.wrapped):
         if a.is_header:
             fill = style.header_fill
@@ -277,9 +285,6 @@ def render_svg(table: Table, style: StyleSpec, plan: LayoutPlan | None = None) -
             fill = style.zebra_fill
         else:
             fill = _DATA_FILL
-        stroke_attr = (
-            f' stroke="{stroke}" stroke-width="{style.border_width}"' if stroke and not is_md else ""
-        )
         out.append(
             f'<rect x="{box.x}" y="{box.y}" width="{box.w}" height="{box.h}" fill="{fill}"{stroke_attr}/>'
         )

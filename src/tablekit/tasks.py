@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import Table, expand_grid, iter_anchors_row_major, merged_regions
 from .formats import serialize
 from .formats.common import TableFormat
-from .render import DEFAULT_STYLE_MIX, StyleMix, sample_style
+from .render import DEFAULT_STYLE_MIX, StyleMix, StyleSpec, sample_style
 from .taskdefs import TaskKind
 from .templates import TemplatePool, build_request, default_pool
 
@@ -333,6 +333,8 @@ class SynthResult:
     conversations: int
     consumed_singles: int
     qa_pairs_skipped: int
+    # the style drawn for each table a sample refers to, by table id
+    styles: dict[str, StyleSpec] = field(default_factory=dict)
 
 
 def partition_tables(
@@ -390,15 +392,14 @@ def synthesize(
     train_pool, eval_pool = partition_tables(prepared, config)
     pools = {"train": train_pool, "eval": eval_pool}
 
-    style_cache: dict[str, str] = {}
+    styles: dict[str, StyleSpec] = {}
 
     def family_of(table_id: str) -> str:
-        fam = style_cache.get(table_id)
-        if fam is None:
+        spec = styles.get(table_id)
+        if spec is None:
             spec = sample_style(style_mix, style_seed(config.master_seed, table_id), style_ranges)
-            fam = spec.family.value
-            style_cache[table_id] = fam
-        return fam
+            styles[table_id] = spec
+        return spec.family.value
 
     def make_context(task: TaskKind, split: str, index: int, table_id: str) -> SampleContext:
         return SampleContext(
@@ -495,4 +496,5 @@ def synthesize(
         conversations=len(conversations),
         consumed_singles=len(consumed),
         qa_pairs_skipped=qa_skipped,
+        styles=styles,
     )

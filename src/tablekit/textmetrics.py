@@ -7,6 +7,7 @@ which keeps layout deterministic and dependency-free.
 
 from __future__ import annotations
 
+import functools
 import math
 
 # per-mille-of-em advances for ASCII 32..126, generic proportional face
@@ -49,60 +50,95 @@ def line_height(font_size_pt: int | float) -> int:
     return math.ceil(font_px(font_size_pt) * LINE_HEIGHT_FACTOR)
 
 
-def char_advance(ch: str, font_family: str, font_size_pt: int | float) -> float:
+class _Advances(dict):
+    """Character -> advance in CSS pixels for one (font family, size); any
+    character not in the table gets the family's default advance."""
+
+    __slots__ = ("default",)
+
+    def __missing__(self, ch: str) -> float:
+        return self.default
+
+
+@functools.lru_cache(maxsize=256)
+def _advances(font_family: str, font_size_pt: int | float) -> _Advances:
+    # each entry is computed exactly as mille / 1000 * px * scale, so widths
+    # summed from the table equal those summed from per-character formulas
     family = font_family.lower()
+    px = font_px(font_size_pt)
+    table = _Advances()
     if family in _MONOSPACE:
-        mille = _MONO_ADVANCE
-        scale = 1.0
+        table.default = _MONO_ADVANCE / 1000 * px * 1.0
     else:
-        mille = _PROPORTIONAL.get(ch, _DEFAULT_ADVANCE)
         scale = _FAMILY_SCALE.get(family, 1.0)
-    return mille / 1000 * font_px(font_size_pt) * scale
+        table.default = _DEFAULT_ADVANCE / 1000 * px * scale
+        for ch, mille in _PROPORTIONAL.items():
+            table[ch] = mille / 1000 * px * scale
+    return table
+
+
+def char_advance(ch: str, font_family: str, font_size_pt: int | float) -> float:
+    return _advances(font_family, font_size_pt)[ch]
 
 
 def text_width(text: str, font_family: str, font_size_pt: int | float) -> float:
     """Width of the widest line of the text, unwrapped."""
+    advance = _advances(font_family, font_size_pt).__getitem__
     best = 0.0
     for part in text.split("\n"):
-        w = sum(char_advance(ch, font_family, font_size_pt) for ch in part)
-        best = max(best, w)
+        best = max(best, sum(map(advance, part)))
     return best
 
 
-def _break_long_word(word: str, font_family: str, size: int | float, max_width: float) -> list[str]:
-    pieces: list[str] = []
-    current = ""
+# A running line width adds one advance at a time, which is what sum() does up
+# to Python 3.11. From 3.12 sum() compensates its rounding, so the two can
+# differ by a few rounding errors per advance; a candidate line whose running
+# width is that close to the limit is measured again with sum() itself.
+_NEAR_LIMIT = 1e-15  # relative difference allowed per advance, about 9 roundings
+
+
+def _break_long_word(
+    word: str, advances: list[float], max_width: float
+) -> list[tuple[str, list[float]]]:
+    """Hard-break a word wider than the limit into (piece, advances) pairs."""
+    pieces: list[tuple[str, list[float]]] = []
+    start = 0
     width = 0.0
-    for ch in word:
-        adv = char_advance(ch, font_family, size)
-        if current and width + adv > max_width:
-            pieces.append(current)
-            current, width = ch, adv
+    for i, adv in enumerate(advances):
+        if i > start and width + adv > max_width:
+            pieces.append((word[start:i], advances[start:i]))
+            start, width = i, adv
         else:
-            current += ch
             width += adv
-    if current:
-        pieces.append(current)
+    if start < len(word):
+        pieces.append((word[start:], advances[start:]))
     return pieces
 
 
 def wrap_text(text: str, font_family: str, font_size_pt: int | float, max_width: float) -> list[str]:
     """Greedy word-boundary wrap; words wider than the limit are hard-broken."""
+    advance = _advances(font_family, font_size_pt).__getitem__
+    space = advance(" ")
     lines: list[str] = []
     for paragraph in text.split("\n"):
-        words: list[str] = []
-        for word in paragraph.split(" "):
-            if word and text_width(word, font_family, font_size_pt) > max_width:
-                words.extend(_break_long_word(word, font_family, font_size_pt, max_width))
-            else:
-                words.append(word)
         line = ""
-        for word in words:
-            candidate = word if not line else line + " " + word
-            if line and text_width(candidate, font_family, font_size_pt) > max_width:
-                lines.append(line)
-                line = word
+        line_width = 0.0  # sum of the advances of line, in order
+        for word in paragraph.split(" "):
+            advances = list(map(advance, word))
+            if word and sum(advances) > max_width:
+                pieces = _break_long_word(word, advances, max_width)
             else:
-                line = candidate
+                pieces = [(word, advances)]
+            for piece, piece_advances in pieces:
+                if line:
+                    width = sum(piece_advances, line_width + space)
+                    n = len(line) + 1 + len(piece)
+                    if abs(width - max_width) <= _NEAR_LIMIT * (n + 8) * width:
+                        width = sum(map(advance, line + " " + piece))
+                    if width <= max_width:
+                        line, line_width = line + " " + piece, width
+                        continue
+                    lines.append(line)
+                line, line_width = piece, sum(piece_advances)
         lines.append(line)
     return lines

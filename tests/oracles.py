@@ -433,3 +433,78 @@ def _last_json_object(text: str) -> dict | None:
         if isinstance(value, dict):
             return value
     return None
+
+
+# ---------------------------------------------------------------------------
+# text metrics: the package's former per-character routines, which look up
+# and scale one advance per call and re-measure every candidate line; kept as
+# the reference for the per-(font, size) advance tables and running widths
+# ---------------------------------------------------------------------------
+
+from tablekit.textmetrics import (  # noqa: E402  (the advance data, not the algorithms)
+    _DEFAULT_ADVANCE,
+    _FAMILY_SCALE,
+    _MONO_ADVANCE,
+    _MONOSPACE,
+    _PROPORTIONAL,
+    font_px,
+)
+
+
+def char_advance(ch: str, font_family: str, font_size_pt: int | float) -> float:
+    family = font_family.lower()
+    if family in _MONOSPACE:
+        mille = _MONO_ADVANCE
+        scale = 1.0
+    else:
+        mille = _PROPORTIONAL.get(ch, _DEFAULT_ADVANCE)
+        scale = _FAMILY_SCALE.get(family, 1.0)
+    return mille / 1000 * font_px(font_size_pt) * scale
+
+
+def text_width(text: str, font_family: str, font_size_pt: int | float) -> float:
+    """Width of the widest line of the text, unwrapped."""
+    best = 0.0
+    for part in text.split("\n"):
+        w = sum(char_advance(ch, font_family, font_size_pt) for ch in part)
+        best = max(best, w)
+    return best
+
+
+def _break_long_word(word: str, font_family: str, size: int | float, max_width: float) -> list[str]:
+    pieces: list[str] = []
+    current = ""
+    width = 0.0
+    for ch in word:
+        adv = char_advance(ch, font_family, size)
+        if current and width + adv > max_width:
+            pieces.append(current)
+            current, width = ch, adv
+        else:
+            current += ch
+            width += adv
+    if current:
+        pieces.append(current)
+    return pieces
+
+
+def wrap_text(text: str, font_family: str, font_size_pt: int | float, max_width: float) -> list[str]:
+    """Greedy word-boundary wrap; words wider than the limit are hard-broken."""
+    lines: list[str] = []
+    for paragraph in text.split("\n"):
+        words: list[str] = []
+        for word in paragraph.split(" "):
+            if word and text_width(word, font_family, font_size_pt) > max_width:
+                words.extend(_break_long_word(word, font_family, font_size_pt, max_width))
+            else:
+                words.append(word)
+        line = ""
+        for word in words:
+            candidate = word if not line else line + " " + word
+            if line and text_width(candidate, font_family, font_size_pt) > max_width:
+                lines.append(line)
+                line = word
+            else:
+                line = candidate
+        lines.append(line)
+    return lines

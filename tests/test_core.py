@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from tablekit import core
 from tablekit.core import (
     AnchorCell,
     CellRef,
     InvalidTable,
     Table,
+    checked,
     expand_grid,
     merged_regions,
     table_from_dict,
@@ -19,6 +22,8 @@ from tablekit.core import (
     table_to_json,
     validate,
 )
+from tablekit.formats import TableFormat, serialize
+from tablekit.render import StyleFamily, StyleSpec, layout
 
 from oracles import (
     coverage_counts,
@@ -91,6 +96,34 @@ def test_expand_grid_resolves_spanned_positions_to_anchor():
 def test_expand_grid_rejects_invalid():
     with pytest.raises(InvalidTable):
         expand_grid(t(2, 2, [a(1, 1)]))
+
+
+def test_validity_is_computed_once_per_table_instance(monkeypatch):
+    calls = []
+    real_validate = core.validate
+    monkeypatch.setattr(core, "validate", lambda table: calls.append(table) or real_validate(table))
+    style = StyleSpec(StyleFamily.EXCEL, "Arial", 11, "#d9e1f2", None, 1, 4, 120)
+    table = t(2, 2, [a(1, 1, col_span=2, content="x"), a(2, 1), a(2, 2)])
+    for _ in range(2):
+        expand_grid(table)
+        layout(table, style)
+        serialize(table, TableFormat.HTML)
+        serialize(table, TableFormat.LATEX)
+    assert len(calls) == 1
+    # a replaced table is a new instance, checked afresh
+    assert checked(dataclasses.replace(table, source_id="t")).ok
+    assert len(calls) == 2
+
+    broken = t(2, 2, [a(1, 1)])
+    for _ in range(2):
+        with pytest.raises(InvalidTable):
+            expand_grid(broken)
+        with pytest.raises(InvalidTable):
+            layout(broken, style)
+        with pytest.raises(ValueError):
+            serialize(broken, TableFormat.HTML)
+    assert len(calls) == 3
+    assert checked(broken) == validate(broken)
 
 
 def test_grid_row_and_column_views():

@@ -17,6 +17,7 @@ from tablekit.formats import (
     detect_format,
     parse,
     serialize,
+    sniff_format,
 )
 from tablekit.metrics.evaluate import score_sample
 from tablekit.taskdefs import TaskKind
@@ -77,6 +78,14 @@ def test_parse_html_errors():
         parse('<table><tr><td colspan="x">a</td></tr></table>', HTML)
     with pytest.raises(ParseError):
         parse("<table><tr><td>a", HTML)
+
+
+def test_parse_html_span_running_into_a_rowspan_is_an_error():
+    # the colspan cell's first column is free, its second is b's rowspan
+    src = ('<table><tr><td>a</td><td rowspan="2">b</td></tr>'
+           '<tr><td colspan="2">c</td></tr></table>')
+    with pytest.raises(ParseError, match="overlapping span"):
+        parse(src, HTML)
 
 
 def test_parse_html_pads_ragged_rows_with_warning():
@@ -160,6 +169,20 @@ def test_parse_latex_bracket_text_after_row_break_is_a_cell():
         AnchorCell(2, 2, content="d"),
     ))
     back, _ = parse(serialize(table, TEX), TEX)
+    assert back == table
+
+
+@pytest.mark.parametrize("text", ["[2pt]", "[ 1em ]", "[-1.5ex] tail"])
+def test_serialize_latex_protects_length_text_at_a_row_start(text):
+    table = Table(2, 2, (
+        AnchorCell(1, 1, content="a"),
+        AnchorCell(1, 2, content="b"),
+        AnchorCell(2, 1, content=text),
+        AnchorCell(2, 2, content="d"),
+    ))
+    src = serialize(table, TEX)
+    assert src.splitlines()[1] == "a & b \\\\[0pt]"
+    back, _ = parse(src, TEX)
     assert back == table
 
 
@@ -386,6 +409,13 @@ def test_convert_never_raises_on_noise():
             html, diag = convert(text, fmt)
             assert isinstance(html, str)
             assert html.startswith("<table")
+
+
+def test_sniff_format():
+    assert sniff_format("  <table><tr><td>a</td></tr></table>") == HTML
+    assert sniff_format("\\begin{tabular}{c}\na \\\\\n\\end{tabular}") == TEX
+    assert sniff_format("| a |\n| --- |") == MD
+    assert sniff_format("") == MD
 
 
 def test_detect_format():

@@ -8,10 +8,11 @@ import random
 
 import pytest
 
+from tablekit import pipeline, tasks
 from tablekit.cli import main
 from tablekit.core import table_from_dict, table_to_dict
 from tablekit.formats import serialize
-from tablekit.formats.common import TableFormat
+from tablekit.formats.common import ParseError, TableFormat
 from tablekit.pipeline import (
     CorpusLoad,
     PipelineConfig,
@@ -152,6 +153,7 @@ def test_load_corpus_skips_malformed_and_counts(tmp_path):
     assert load.skipped_count == 3
     reasons = {path.rsplit("/", 1)[-1]: reason for path, reason in load.skipped}
     assert set(reasons) == {"broken.html", "broken.json", "badgrid.json"}
+    assert reasons["badgrid.json"].endswith("invalid table: gap at (1,2)")
 
 
 def test_load_corpus_deduplicates_stems(tmp_path):
@@ -259,6 +261,39 @@ def test_cmd_synth_reused_out_keeps_only_listed_images(tmp_path):
     assert on_disk == listed == {"images/b0.svg", "images/b1.svg"}
 
 
+def test_cmd_synth_draws_each_table_style_once(tmp_path, monkeypatch):
+    _make_corpus(tmp_path)
+    config = PipelineConfig.from_file(_write_config(tmp_path, COUNTS))
+    seeds = []
+    real = tasks.sample_style
+
+    def counting(mix, seed, ranges=None):
+        seeds.append(seed)
+        return real(mix, seed, ranges)
+
+    monkeypatch.setattr(tasks, "sample_style", counting)
+    monkeypatch.setattr(pipeline, "sample_style", counting)
+    manifest = cmd_synth(config, tmp_path / "out", workers=1)
+    images = [rel for rel in manifest["files"] if rel.startswith("images/")]
+    assert len(seeds) == len(set(seeds)) == len(images)
+
+
+def test_cmd_synth_that_stops_part_way_leaves_no_manifest(tmp_path, monkeypatch):
+    _make_corpus(tmp_path)
+    config = PipelineConfig.from_file(_write_config(tmp_path, COUNTS))
+    out = tmp_path / "out"
+    cmd_synth(config, out)
+    assert (out / "manifest.json").is_file()
+
+    def failing_render(table, style):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(pipeline, "render_svg", failing_render)
+    with pytest.raises(RuntimeError):
+        cmd_synth(config, out)
+    assert sorted(p.name for p in out.iterdir()) == ["images", "samples.jsonl"]
+
+
 def test_cmd_synth_seed_changes_output(tmp_path):
     _make_corpus(tmp_path)
     config = PipelineConfig.from_file(_write_config(tmp_path, COUNTS))
@@ -361,6 +396,36 @@ def test_cmd_render_png_via_command_backend(tmp_path):
     out = cmd_render(src, tmp_path / "a.png", image_format="png", config=config)
     # the stand-in backend copies the svg bytes through the png path
     assert out.read_bytes().startswith(b"<svg")
+
+
+def test_cli_render_png_dpi_is_the_config_raster_dpi_unless_given(tmp_path, monkeypatch):
+    src = _one_table_file(tmp_path)
+    config = tmp_path / "render.json"
+    config.write_text(
+        json.dumps({"corpus_dir": "c", "raster_dpi": 150, "rasterizer_command": "cp {input} {output}"}),
+        encoding="utf-8",
+    )
+    seen = []
+
+    def fake_rasterize(svg, dpi, backend):
+        seen.append(dpi)
+        return b"png"
+
+    monkeypatch.setattr(pipeline, "rasterize", fake_rasterize)
+    args = ["render", str(src), "--out", str(tmp_path / "t.png"), "--format", "png"]
+    assert main(args + ["--config", str(config)]) == 0
+    assert main(args + ["--config", str(config), "--dpi", "300"]) == 0
+    assert main(args) == 0
+    assert seen == [150, 300, 96]
+
+
+def test_invalid_table_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n_rows": 2, "n_cols": 2, "anchors": [{"row": 1, "col": 1}]}))
+    with pytest.raises(ParseError, match="invalid table: gap at"):
+        cmd_convert(bad, TableFormat.HTML)
+    assert main(["convert", str(bad), "--format", "html"]) == 1
+    assert "invalid table" in capsys.readouterr().err
 
 
 def test_cmd_convert_round_trip(tmp_path):

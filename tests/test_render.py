@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 import xml.etree.ElementTree as ET
+from importlib import resources
 
 import pytest
 
@@ -23,8 +26,10 @@ from tablekit.render import (
     render_svg,
     sample_style,
 )
-from tablekit.textmetrics import line_height, text_width, wrap_text
+from tablekit import textmetrics
+from tablekit.textmetrics import char_advance, line_height, text_width, wrap_text
 
+import oracles
 from oracles import random_table_dict
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -169,6 +174,78 @@ def test_wrap_text_breaks_at_word_boundaries():
     lines2 = wrap_text("aaaaaaaaaaaaaaaaaaaaaaaa", "Arial", 12, 40)
     assert len(lines2) > 1
     assert all(text_width(ln, "Arial", 12) <= 40 for ln in lines2)
+
+
+def _style_fonts() -> list[str]:
+    data = json.loads(resources.files("tablekit.data").joinpath("default_styles.json").read_text())
+    fonts = sorted({f for fam in data["families"].values() for f in fam["fonts"]})
+    return fonts + ["Some Unlisted Face"]
+
+
+_TEXT_ALPHABET = "aeimnrstwW0123456789.,-_!@%" + "éß€中Ω" + "  " + "\n"
+
+
+def _random_text(rng: random.Random) -> str:
+    """Words of 0-20 characters (long runs exceed narrow limits), runs of
+    spaces, newlines and non-ASCII characters."""
+    parts = []
+    for _ in range(rng.randint(0, 8)):
+        parts.append("".join(rng.choice(_TEXT_ALPHABET) for _ in range(rng.randint(0, 20))))
+    return rng.choice(["", " ", "  "]).join(parts)
+
+
+def _limits(rng: random.Random, text: str, font: str, size) -> list[float]:
+    """Random limits, and limits at which a candidate line is exactly as wide
+    as the limit or one float step either side of it."""
+    limits = [rng.uniform(1, 300), rng.randint(1, 120), 1]
+    words = text.split("\n")[0].split(" ")
+    k = rng.randint(1, len(words))
+    exact = oracles.text_width(" ".join(words[:k]), font, size)
+    if exact > 0:
+        limits += [exact, math.nextafter(exact, 0), math.nextafter(exact, math.inf)]
+    return limits
+
+
+def _assert_text_metrics_match_oracle(rng: random.Random, n_texts: int) -> None:
+    for font in _style_fonts():
+        for size in (10, 11, 12, 13, 14, 16, 11.5, 12.25):
+            for ch in _TEXT_ALPHABET + "~{}":
+                assert char_advance(ch, font, size) == oracles.char_advance(ch, font, size)
+            for _ in range(n_texts):
+                text = _random_text(rng)
+                assert text_width(text, font, size) == oracles.text_width(text, font, size)
+                for limit in _limits(rng, text, font, size):
+                    assert wrap_text(text, font, size, limit) == oracles.wrap_text(
+                        text, font, size, limit
+                    ), (text, font, size, limit)
+
+
+def test_text_metrics_match_the_per_character_oracle():
+    _assert_text_metrics_match_oracle(random.Random(9001), 16)
+
+
+def _compensated_sum(values, start=0):
+    """sum() as Python 3.12 computes it for floats (Neumaier compensation)."""
+    items = list(values)
+    if not items:
+        return start
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_text_metrics_match_the_oracle_under_compensated_sum(monkeypatch):
+    # a running line width cannot copy a compensated sum(), so near the limit
+    # the candidate line must be measured again for the wraps to agree
+    monkeypatch.setattr(textmetrics, "sum", _compensated_sum, raising=False)
+    monkeypatch.setattr(oracles, "sum", _compensated_sum, raising=False)
+    _assert_text_metrics_match_oracle(random.Random(9002), 8)
 
 
 # -------------------------------------------------------------------- svg
