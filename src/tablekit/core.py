@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator, NamedTuple
+from typing import Any, NamedTuple
 
 
 class InvalidTable(ValueError):
@@ -58,6 +58,7 @@ class ValidationVerdict:
     ok: bool
     problem: str | None = None
     position: CellRef | None = None
+    grid: Grid | None = field(default=None, repr=False, compare=False)  # set when ok
 
     def __bool__(self) -> bool:
         return self.ok
@@ -85,18 +86,27 @@ class Grid:
     def column(self, col: int) -> tuple[AnchorCell, ...]:
         return tuple(r[col - 1] for r in self.cells)
 
+    def row_anchors(self, row: int) -> list[AnchorCell]:
+        """The anchors whose top-left corner is in this row, left to right."""
+        return [a for c, a in enumerate(self.cells[row - 1], 1) if a.row == row and a.col == c]
+
+    def anchors(self) -> list[AnchorCell]:
+        """Every anchor once, row-major by top-left corner."""
+        return [a for r in range(1, self.n_rows + 1) for a in self.row_anchors(r)]
+
 
 def validate(table: Table) -> ValidationVerdict:
     """Check the tiling invariants; report the first violation found.
 
     Anchors are placed in their given order, so the first overlapping
     grid position and the first uncovered position are deterministic.
+    A valid verdict carries the expanded Grid.
     """
     if table.n_rows < 1:
         return ValidationVerdict(False, f"n_rows must be >= 1, got {table.n_rows}")
     if table.n_cols < 1:
         return ValidationVerdict(False, f"n_cols must be >= 1, got {table.n_cols}")
-    covered: list[list[bool]] = [[False] * table.n_cols for _ in range(table.n_rows)]
+    matrix: list[list[AnchorCell | None]] = [[None] * table.n_cols for _ in range(table.n_rows)]
     for a in table.anchors:
         pos = CellRef(a.row, a.col)
         if a.row_span < 1 or a.col_span < 1:
@@ -108,14 +118,15 @@ def validate(table: Table) -> ValidationVerdict:
             return ValidationVerdict(False, f"span exceeds grid bounds at ({a.row},{a.col})", pos)
         for r in range(a.row, br.row_id + 1):
             for c in range(a.col, br.col_id + 1):
-                if covered[r - 1][c - 1]:
+                if matrix[r - 1][c - 1] is not None:
                     return ValidationVerdict(False, f"overlap at ({r},{c})", CellRef(r, c))
-                covered[r - 1][c - 1] = True
+                matrix[r - 1][c - 1] = a
     for r in range(1, table.n_rows + 1):
         for c in range(1, table.n_cols + 1):
-            if not covered[r - 1][c - 1]:
+            if matrix[r - 1][c - 1] is None:
                 return ValidationVerdict(False, f"gap at ({r},{c})", CellRef(r, c))
-    return ValidationVerdict(True)
+    cells = tuple(tuple(row) for row in matrix)
+    return ValidationVerdict(True, grid=Grid(table.n_rows, table.n_cols, cells))  # type: ignore[arg-type]
 
 
 def checked(table: Table) -> ValidationVerdict:
@@ -132,19 +143,14 @@ def checked(table: Table) -> ValidationVerdict:
 
 
 def expand_grid(table: Table) -> Grid:
-    """Expand anchors into the full positional matrix.
+    """The table's positional matrix, resolved once per Table instance.
 
     Raises InvalidTable when the table does not validate.
     """
     verdict = checked(table)
-    if not verdict:
+    if verdict.grid is None:
         raise InvalidTable(verdict.problem)
-    matrix: list[list[AnchorCell | None]] = [[None] * table.n_cols for _ in range(table.n_rows)]
-    for a in table.anchors:
-        for r in range(a.row, a.row + a.row_span):
-            for c in range(a.col, a.col + a.col_span):
-                matrix[r - 1][c - 1] = a
-    return Grid(table.n_rows, table.n_cols, tuple(tuple(row) for row in matrix))  # type: ignore[arg-type]
+    return verdict.grid
 
 
 def merged_regions(table: Table) -> list[tuple[CellRef, CellRef]]:
@@ -159,10 +165,6 @@ def merged_regions(table: Table) -> list[tuple[CellRef, CellRef]]:
     ]
     regions.sort(key=lambda pair: pair[0])
     return regions
-
-
-def iter_anchors_row_major(table: Table) -> Iterator[AnchorCell]:
-    yield from sorted(table.anchors, key=lambda a: (a.row, a.col))
 
 
 def table_to_dict(table: Table) -> dict[str, Any]:

@@ -64,9 +64,16 @@ def detect_format(path: str | Path) -> TableFormat | None:
 
 
 def sniff_format(table_text: str) -> TableFormat:
-    """The format a table's text is written in, judged from the text alone."""
-    if table_text.lstrip().startswith("<"):
+    """The format a table's text is written in, judged from the text alone.
+
+    A leading "<" means HTML and a leading "|" Markdown, whatever the cells
+    hold; otherwise a \\begin{tabular} anywhere means LaTeX.
+    """
+    head = table_text.lstrip()[:1]
+    if head == "<":
         return TableFormat.HTML
+    if head == "|":
+        return TableFormat.MARKDOWN
     if "\\begin{tabular}" in table_text:
         return TableFormat.LATEX
     return TableFormat.MARKDOWN

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from html.parser import HTMLParser
 
-from ..core import Table, checked
+from ..core import Table, expand_grid
 from .common import (
     MAX_SPAN,
     ParseError,
@@ -92,10 +92,13 @@ class _TableHTMLParser(HTMLParser):
                 self._warn("missing <table> wrapper assumed")
             else:
                 return
-        if tag in ("thead", "tbody", "tfoot"):
-            return
         if tag == "caption":
             self.in_caption = True
+            return
+        if tag in _STRUCTURAL:
+            # rows end a caption: HTML5 lets </caption> be left out
+            self.in_caption = False
+        if tag in ("thead", "tbody", "tfoot"):
             return
         if tag == "tr":
             self._close_row()
@@ -186,18 +189,13 @@ def escape_html(text: str) -> str:
 def serialize_html(table: Table) -> str:
     """Canonical single-line form: rowspan before colspan, spans only when > 1,
     minimal entity encoding."""
-    verdict = checked(table)
-    if not verdict:
-        raise ValueError(f"cannot serialize invalid table: {verdict.problem}")
+    grid = expand_grid(table)
     parts = ["<table>"]
     if table.caption is not None:
         parts.append(f"<caption>{escape_html(table.caption)}</caption>")
-    by_row: dict[int, list] = {}
-    for a in table.anchors:
-        by_row.setdefault(a.row, []).append(a)
     for r in range(1, table.n_rows + 1):
         parts.append("<tr>")
-        for a in sorted(by_row.get(r, []), key=lambda x: x.col):
+        for a in grid.row_anchors(r):
             tag = "th" if a.is_header else "td"
             attrs = ""
             if a.row_span > 1:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 
-from ..core import Table, checked
+from ..core import Table, expand_grid
 from .common import ParseError, RawCell, RowBuffer, assemble
 
 _ESCAPES = {"&": "\\&", "%": "\\%", "#": "\\#", "_": "\\_", "{": "\\{", "}": "\\}"}
@@ -179,21 +179,14 @@ def serialize_latex(table: Table) -> str:
     break takes an explicit [0pt] when the next row's text starts with a
     bracketed TeX length. Header flags and captions have no representation
     here."""
-    verdict = checked(table)
-    if not verdict:
-        raise ValueError(f"cannot serialize invalid table: {verdict.problem}")
-    span_map: dict[tuple[int, int], object] = {}
-    for a in table.anchors:
-        for r in range(a.row, a.row + a.row_span):
-            for c in range(a.col, a.col + a.col_span):
-                span_map[(r, c)] = a
+    grid = expand_grid(table)
     lines = ["\\begin{tabular}{" + "c" * table.n_cols + "}"]
     rows: list[str] = []
     for r in range(1, table.n_rows + 1):
         cells: list[str] = []
         c = 1
         while c <= table.n_cols:
-            a = span_map[(r, c)]
+            a = grid.anchor_at(r, c)
             if a.row == r and a.col == c:
                 text = escape_latex(a.content)
                 if a.row_span > 1:

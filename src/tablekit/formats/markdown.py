@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-from ..core import Table, checked
+from ..core import Table, expand_grid
 from .common import ParseError, RawCell, RowBuffer, UnrepresentableInFormat, assemble
 
 _SEPARATOR_CELL = re.compile(r"^:?-+:?$")
@@ -105,17 +105,12 @@ def _escape_cell(text: str) -> str:
 def serialize_markdown(table: Table) -> str:
     """Canonical pipe table. Row 1 becomes the header line; merged cells and
     captions have no representation here."""
-    verdict = checked(table)
-    if not verdict:
-        raise ValueError(f"cannot serialize invalid table: {verdict.problem}")
+    grid = expand_grid(table)
     if table.has_spans():
         raise UnrepresentableInFormat("markdown cannot express merged cells")
-    by_row: dict[int, list] = {}
-    for a in table.anchors:
-        by_row.setdefault(a.row, []).append(a)
     lines = []
     for r in range(1, table.n_rows + 1):
-        cells = [_escape_cell(a.content) for a in sorted(by_row[r], key=lambda x: x.col)]
+        cells = [_escape_cell(a.content) for a in grid.row(r)]
         lines.append("| " + " | ".join(cells) + " |")
         if r == 1:
             lines.append("| " + " | ".join(["---"] * table.n_cols) + " |")

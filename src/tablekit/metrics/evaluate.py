@@ -265,7 +265,33 @@ class _GoldRecord:
     tr_format: str | None
 
 
+def _gold_problem(task: TaskKind, gold_answer: object, tr_format: object) -> str | None:
+    """What a task's scorer would trip over in this gold answer, if anything."""
+    if not isinstance(gold_answer, dict):
+        return "gold_answer is not an object"
+    if task is TaskKind.TSD:
+        missing = [key for key in ("row_number", "column_number") if key not in gold_answer]
+        if missing:
+            return f"tsd gold_answer lacks {', '.join(missing)}"
+    elif task in (TaskKind.TCE, TaskKind.TCL):
+        cells = gold_answer.get("cells")
+        if not isinstance(cells, list) or not cells:
+            return f"{task.value} gold_answer needs a non-empty cells list"
+        if not all(isinstance(cell, dict) and "position" in cell and "value" in cell for cell in cells):
+            return f"{task.value} gold cells need a position and a value"
+    elif task is TaskKind.RCE:
+        lines = gold_answer.get("lines")
+        if not isinstance(lines, dict) or not lines:
+            return "rce gold_answer needs a non-empty lines object"
+    elif task is TaskKind.TR and tr_format is not None:
+        if tr_format not in [fmt.value for fmt in TableFormat]:
+            return f"unknown tr_format {tr_format!r}"
+    return None
+
+
 def _flatten_gold(records: Iterable[dict]) -> list[_GoldRecord]:
+    """One record per scored answer; a gold answer that its task's scorer
+    cannot read raises FileFormatError naming the sample."""
     flat: list[_GoldRecord] = []
     for record in records:
         try:
@@ -273,11 +299,13 @@ def _flatten_gold(records: Iterable[dict]) -> list[_GoldRecord]:
             task = TaskKind(record["task"])
             gold_answer = record["gold_answer"]
             turns = record.get("turns")
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"bad gold record: {exc}")
-        meta = record.get("meta") or {}
-        tr_format = meta.get("tr_format")
+        meta = record.get("meta")
+        tr_format = meta.get("tr_format") if isinstance(meta, dict) else None
         if turns:
+            if not isinstance(turns, list):
+                raise FileFormatError(f"bad gold record {sample_id}: turns is not a list")
             # turns can mix formats within one conversation, so each turn's
             # format is sniffed from its own gold answer instead of inheriting
             # the conversation-level value (which mirrors turn 1 only)
@@ -286,11 +314,17 @@ def _flatten_gold(records: Iterable[dict]) -> list[_GoldRecord]:
                     turn_task = TaskKind(turn["task"])
                     turn_gold = turn["gold_answer"]
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise FileFormatError(f"bad turn in {sample_id}: {exc}")
+                    raise FileFormatError(f"bad turn {i} in {sample_id}: {exc}")
+                problem = _gold_problem(turn_task, turn_gold, None)
+                if problem:
+                    raise FileFormatError(f"bad turn {i} in {sample_id}: {problem}")
                 flat.append(
                     _GoldRecord(f"{sample_id}#turn{i}", turn_task, turn_gold, None)
                 )
         else:
+            problem = _gold_problem(task, gold_answer, tr_format)
+            if problem:
+                raise FileFormatError(f"bad gold record {sample_id}: {problem}")
             flat.append(_GoldRecord(sample_id, task, gold_answer, tr_format))
     return flat
 

@@ -23,7 +23,7 @@ from . import __version__
 from .core import Table, checked, table_from_dict
 from .formats import detect_format, parse, serialize, sniff_format
 from .formats.common import ParseError, TableFormat, UnrepresentableInFormat
-from .metrics.evaluate import MetricReport, evaluate
+from .metrics.evaluate import MetricReport, _read_jsonl, evaluate
 from .render import (
     DEFAULT_STYLE_MIX,
     CommandRasterizer,
@@ -484,23 +484,10 @@ def _iter_requests_responses(record: dict):
 
 
 def dataset_stats(samples_path: str | Path) -> dict:
-    """Summary of a samples.jsonl file, from the records alone."""
-    records: list[dict] = []
-    try:
-        text = Path(samples_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise PipelineConfigError(f"cannot read {samples_path}: {exc}")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise PipelineConfigError(f"{samples_path}:{lineno}: not valid JSON: {exc}")
-        if not isinstance(obj, dict):
-            raise PipelineConfigError(f"{samples_path}:{lineno}: expected an object")
-        records.append(obj)
-
+    """Summary of a samples.jsonl file, from the records alone. The file is
+    read as eval reads it; a line that is not a JSON object raises
+    FileFormatError."""
+    records = _read_jsonl(samples_path)
     request_lengths: list[int] = []
     response_lengths: list[int] = []
     rows: list[int] = []

@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
-from .core import AnchorCell, InvalidTable, Table, checked
+from .core import AnchorCell, Table, expand_grid
 from .textmetrics import line_height, text_width, wrap_text
 
 MIN_COL_WIDTH = 24
@@ -150,9 +150,7 @@ def layout(table: Table, style: StyleSpec) -> LayoutPlan:
     """Column widths from unwrapped text estimates (clamped), row heights from
     wrapped line counts. Spanned anchors wrap inside their combined extent and
     do not drive the per-column/per-row derivation."""
-    verdict = checked(table)
-    if not verdict:
-        raise InvalidTable(verdict.problem)
+    grid = expand_grid(table)
     pad = style.cell_padding
     border = style.border_width
     lh = line_height(style.font_size)
@@ -171,7 +169,7 @@ def layout(table: Table, style: StyleSpec) -> LayoutPlan:
     for w in widths:
         xs.append(xs[-1] + w + border)
 
-    anchors = sorted(table.anchors, key=lambda a: (a.row, a.col))
+    anchors = grid.anchors()
     wrapped: list[tuple[str, ...]] = []
     n_lines = [1] * table.n_rows
     for a in anchors:
@@ -232,17 +230,12 @@ def _esc(text: str) -> str:
 
 
 def _header_row_count(table: Table) -> int:
-    rows = {r: True for r in range(1, table.n_rows + 1)}
-    for a in table.anchors:
-        if not a.is_header:
-            for r in range(a.row, a.row + a.row_span):
-                rows[r] = False
+    """How many leading rows hold header cells only."""
     count = 0
-    for r in range(1, table.n_rows + 1):
-        if rows[r]:
-            count += 1
-        else:
+    for row in expand_grid(table).cells:
+        if not all(a.is_header for a in row):
             break
+        count += 1
     return count
 
 

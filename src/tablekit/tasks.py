@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import Table, expand_grid, iter_anchors_row_major, merged_regions
+from .core import Table, expand_grid, merged_regions
 from .formats import serialize
 from .formats.common import TableFormat
 from .render import DEFAULT_STYLE_MIX, StyleMix, StyleSpec, sample_style
@@ -159,7 +159,7 @@ def synth_tce(table: Table, k: int, ctx: SampleContext) -> Sample:
 def unique_nonempty_anchors(table: Table) -> list:
     """Anchors whose content is non-empty and occurs exactly once."""
     counts = Counter(a.content for a in table.anchors)
-    return [a for a in iter_anchors_row_major(table) if a.content and counts[a.content] == 1]
+    return [a for a in expand_grid(table).anchors() if a.content and counts[a.content] == 1]
 
 
 def synth_tcl(table: Table, k: int, ctx: SampleContext) -> Sample:

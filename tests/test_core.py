@@ -229,3 +229,38 @@ def test_coverage_oracle_flags_out_of_bounds():
                         "content": "", "is_header": False}]}
     assert not is_perfect_tiling(bad)
     assert coverage_counts(bad)[(1, 1)] == 1
+
+
+def test_every_consumer_reads_one_grid_per_table_and_raises_invalid_table():
+    from tablekit.render import render_svg
+    from tablekit.tasks import unique_nonempty_anchors
+
+    style = StyleSpec(StyleFamily.EXCEL, "Arial", 11, "#d9e1f2", None, 1, 4, 120)
+    table = t(2, 2, [a(1, 1, col_span=2, content="x"), a(2, 1), a(2, 2)])
+    grid = expand_grid(table)
+    assert expand_grid(table) is grid is checked(table).grid
+    assert validate(t(2, 2, [a(1, 1)])).grid is None
+
+    broken = t(2, 2, [a(1, 1), a(1, 2), a(2, 1, col_span=2), a(2, 2)])
+    for fmt in TableFormat:
+        with pytest.raises(InvalidTable, match="overlap at"):
+            serialize(broken, fmt)
+    with pytest.raises(InvalidTable):
+        layout(broken, style)
+    with pytest.raises(InvalidTable):
+        render_svg(broken, style)
+    with pytest.raises(InvalidTable):
+        unique_nonempty_anchors(broken)
+
+
+def test_grid_anchors_are_every_anchor_once_row_major():
+    rng = random.Random(6)
+    for _ in range(200):
+        data = random_table_dict(rng)
+        rng.shuffle(data["anchors"])
+        table = table_from_dict(data)
+        grid = expand_grid(table)
+        row_major = sorted(table.anchors, key=lambda x: (x.row, x.col))
+        assert grid.anchors() == row_major
+        for r in range(1, table.n_rows + 1):
+            assert grid.row_anchors(r) == [x for x in row_major if x.row == r]

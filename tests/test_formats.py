@@ -423,3 +423,29 @@ def test_detect_format():
     assert detect_format("t.md") == MD
     assert detect_format("t.tex") == TEX
     assert detect_format("t.json") is None
+
+
+def test_sniff_format_pipe_table_whose_cells_hold_tabular_is_markdown():
+    table = Table(2, 2, (
+        AnchorCell(1, 1, content="x"), AnchorCell(1, 2, content="y"),
+        AnchorCell(2, 1, content="\\begin{tabular}"), AnchorCell(2, 2, content="b"),
+    ))
+    assert sniff_format(serialize(table, MD)) == MD
+    assert sniff_format("  | \\begin{tabular}{c} |\n| --- |") == MD
+
+
+@pytest.mark.parametrize("rows", [
+    "<tr><td>a</td><td>b</td></tr>",
+    "<thead><tr><td>a</td><td>b</td></tr></thead>",
+    "<tbody><tr><td>a</td><td>b</td></tr></tbody>",
+    "<tfoot><tr><td>a</td><td>b</td></tr></tfoot>",
+])
+def test_an_unclosed_caption_ends_where_the_rows_start(rows):
+    src = f"<table><caption>t{rows}</table>"
+    table, diag = parse(src, HTML)
+    assert table.caption == "t"
+    assert [a.content for a in table.anchors] == ["a", "b"]
+    assert diag.warnings == ()
+    html, diag = convert(src, HTML)
+    assert html == "<table><caption>t</caption><tr><td>a</td><td>b</td></tr></table>"
+    assert diag.recovered and diag.warnings == ()

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from tablekit.cli import main
 from tablekit.core import table_from_dict
 from tablekit.formats import convert, serialize
 from tablekit.formats.common import TableFormat
@@ -881,3 +882,70 @@ def test_report_summary_lines(tmp_path):
     assert any("teds" in line for line in lines)
     assert "extraction_failed 0" in lines[-1]
     assert all(isinstance(line, str) for line in lines)
+
+
+def _write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+def test_markdown_tr_turn_whose_cells_hold_tabular_is_scored_as_markdown(tmp_path):
+    def md(last):
+        return "| x | y |\n| --- | --- |\n| \\begin{tabular} | " + last + " |"
+
+    gold = md("b")
+    gold_path = _write_jsonl(tmp_path / "gold.jsonl", [
+        {"sample_id": "single", "task": "tr", "gold_answer": {"answer": gold},
+         "meta": {"tr_format": "markdown"}},
+        {"sample_id": "multi", "task": "tr", "gold_answer": {"answer": gold},
+         "turns": [{"task": "tr", "gold_answer": {"answer": gold}}]},
+    ])
+    pred_path = _write_jsonl(tmp_path / "preds.jsonl", [
+        {"sample_id": "single", "response": md("wrong")},
+        {"sample_id": "multi", "responses": [md("wrong")]},
+    ])
+    by_id = {r["sample_id"]: r for r in evaluate(pred_path, gold_path).per_sample}
+    assert by_id["multi#turn1"]["format"] == "markdown"
+    assert by_id["multi#turn1"]["teds"] == by_id["single"]["teds"] < 1.0
+
+
+_GOLD_ANSWERS_THAT_SCORERS_CANNOT_READ = [
+    ("tsd", ["not", "an", "object"]),
+    ("tsd", {"column_number": 2}),
+    ("tce", {"cells": []}),
+    ("tce", {"cells": [{"value": "a"}]}),
+    ("tcl", {"cells": [{"position": [1, 1]}]}),
+    ("tcl", {"cells": ["a"]}),
+    ("rce", {"axis": "row", "lines": {}}),
+    ("rce", {"axis": "row"}),
+]
+
+
+@pytest.mark.parametrize("task, gold_answer", _GOLD_ANSWERS_THAT_SCORERS_CANNOT_READ)
+@pytest.mark.parametrize("as_turn", [False, True])
+def test_malformed_gold_answer_is_a_file_format_error(tmp_path, capsys, task, gold_answer, as_turn):
+    record = {"sample_id": "g-1", "task": task, "gold_answer": gold_answer}
+    if as_turn:
+        record = {"sample_id": "g-1", "task": "tsd",
+                  "gold_answer": {"row_number": 1, "column_number": 1},
+                  "turns": [{"task": "tsd", "gold_answer": {"row_number": 1, "column_number": 1}},
+                            {"task": task, "gold_answer": gold_answer}]}
+    gold_path = _write_jsonl(tmp_path / "gold.jsonl", [record])
+    pred_path = _write_jsonl(tmp_path / "preds.jsonl", [
+        {"sample_id": "g-1", "responses": ['{"answer": 1}'] * 2} if as_turn
+        else {"sample_id": "g-1", "response": '{"answer": 1}'}
+    ])
+    with pytest.raises(FileFormatError, match="g-1"):
+        evaluate(pred_path, gold_path)
+    assert main(["eval", str(pred_path), str(gold_path)]) == 1
+    assert "g-1" in capsys.readouterr().err
+
+
+def test_unknown_tr_format_in_gold_meta_is_a_file_format_error(tmp_path):
+    gold_path = _write_jsonl(tmp_path / "gold.jsonl", [
+        {"sample_id": "g-1", "task": "tr", "gold_answer": {"answer": "| a |\n| --- |"},
+         "meta": {"tr_format": "rtf"}},
+    ])
+    pred_path = _write_jsonl(tmp_path / "preds.jsonl", [{"sample_id": "g-1", "response": "x"}])
+    with pytest.raises(FileFormatError, match="g-1"):
+        evaluate(pred_path, gold_path)

@@ -347,6 +347,25 @@ def test_dataset_stats_matches_manifest(tmp_path):
     assert stats["table_rows"]["min"] >= 1
 
 
+def test_dataset_stats_reads_cells_with_unicode_line_breaks_as_eval_does(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    rng = random.Random(7)
+    for i in range(3):
+        data = oracles.random_table_dict(rng)
+        # NEL and LINE SEPARATOR stay raw in samples.jsonl (ensure_ascii=False)
+        data["anchors"][0]["content"] = f"a\u0085b\u2028c{i}"
+        (corpus / f"t{i}.json").write_text(json.dumps(data), encoding="utf-8")
+    config = PipelineConfig.from_file(_write_config(tmp_path, {"tce": [3, 1], "tr": [3, 1]}))
+    manifest = cmd_synth(config, tmp_path / "out")
+    samples = tmp_path / "out" / "samples.jsonl"
+    assert "\u2028" in samples.read_text(encoding="utf-8")
+    stats = dataset_stats(samples)
+    assert stats["samples"] == sum(manifest["counts"].values())
+    assert stats["per_task"] == manifest["counts"]
+    assert stats["tr_format_mix"] == manifest["tr_format_mix_achieved"]
+
+
 def test_dataset_stats_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
