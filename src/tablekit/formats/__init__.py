@@ -1,17 +1,18 @@
 """Parsing, serialization and conversion across the supported table formats.
 
 parse() is strict: it raises ParseError (with location and reason) and only
-pads ragged right edges, recording a warning.  convert() is the tolerant
-route: it extracts the table portion from surrounding junk, repairs spans and
-raggedness, and on unrecoverable input returns the sentinel empty table with
-recovered=False instead of raising.
+pads ragged right edges, recording a warning.  parse_tolerant() is the
+tolerant route: it extracts the table portion from surrounding junk, repairs
+spans and raggedness, and returns a valid Table or None instead of raising.
+convert() is parse_tolerant() followed by serialize_html(), with the sentinel
+empty table and recovered=False for unrecoverable input.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from ..core import InvalidTable, Table
+from ..core import Table, expand_grid
 from .common import (
     SENTINEL_HTML,
     ParseDiagnostics,
@@ -32,6 +33,7 @@ __all__ = [
     "UnrepresentableInFormat",
     "SENTINEL_HTML",
     "parse",
+    "parse_tolerant",
     "serialize",
     "convert",
     "detect_format",
@@ -91,6 +93,18 @@ def serialize(table: Table, fmt: TableFormat) -> str:
     return _SERIALIZERS[fmt](table)
 
 
+def parse_tolerant(src: str, fmt: TableFormat) -> tuple[Table | None, list[str]]:
+    """Tolerant parse: the valid table recovered from possibly messy input,
+    or None, with the parser's warnings. Never raises on string input."""
+    try:
+        table, warnings = _PARSERS[fmt](src, tolerant=True)
+        if table is not None:
+            expand_grid(table)  # raises InvalidTable if the repair left no tiling
+    except (RecursionError, ValueError):
+        return None, ["tolerant parse failed"]
+    return table, warnings
+
+
 def convert(src: str, from_fmt: TableFormat) -> tuple[str, ParseDiagnostics]:
     """Tolerant conversion of possibly messy input into canonical HTML.
 
@@ -98,11 +112,7 @@ def convert(src: str, from_fmt: TableFormat) -> tuple[str, ParseDiagnostics]:
     """
     if not isinstance(src, str):
         return SENTINEL_HTML, ParseDiagnostics(("input is not text",), recovered=False)
-    try:
-        table, warnings = _PARSERS[from_fmt](src, tolerant=True)
-        html = None if table is None else serialize_html(table)
-    except (RecursionError, ValueError):
-        html, warnings = None, ["tolerant parse failed"]
-    if html is None:
+    table, warnings = parse_tolerant(src, from_fmt)
+    if table is None:
         return SENTINEL_HTML, ParseDiagnostics(tuple(warnings) + ("no table recovered",), recovered=False)
-    return html, ParseDiagnostics(tuple(warnings), recovered=True)
+    return serialize_html(table), ParseDiagnostics(tuple(warnings), recovered=True)

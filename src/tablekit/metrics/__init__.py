@@ -17,7 +17,16 @@ from .evaluate import (
     score_tsd,
 )
 from .extraction import ExtractionResult, ExtractionStatus, extract_json_answer
-from .teds import TreeNode, html_to_tree, levenshtein, teds, tree_edit_distance, tree_size
+from .teds import (
+    TreeNode,
+    html_to_tree,
+    levenshtein,
+    table_to_tree,
+    teds,
+    teds_of_trees,
+    tree_edit_distance,
+    tree_size,
+)
 
 __all__ = [
     "LengthMismatch",
@@ -42,7 +51,9 @@ __all__ = [
     "TreeNode",
     "html_to_tree",
     "levenshtein",
+    "table_to_tree",
     "teds",
+    "teds_of_trees",
     "tree_edit_distance",
     "tree_size",
 ]

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..formats import convert, sniff_format
+from ..formats import convert, parse_tolerant, sniff_format
 from ..formats.common import TableFormat
 from ..taskdefs import TaskKind
 from .bleu import bleu
 from .extraction import ExtractionResult, ExtractionStatus, extract_json_answer
-from .teds import teds
+from .teds import table_to_tree, teds, teds_of_trees
 
 
 class FileFormatError(ValueError):
@@ -167,6 +167,20 @@ def score_tr(pred_text: object, pred_fmt: TableFormat, gold_html: str) -> float:
     return teds(html, gold_html)
 
 
+def _score_tr_text(pred_table: str, gold_table: str, fmt: TableFormat) -> float:
+    """score_tr(pred_table, fmt, convert(gold_table, fmt)[0]), parsing each
+    table once and building its tree from the parsed Table.
+
+    convert is pure and both sides use the gold's format, so equal texts
+    score 1.0 without a parse.
+    """
+    if pred_table == gold_table:
+        return 1.0
+    pred_tree = table_to_tree(parse_tolerant(pred_table, fmt)[0])
+    gold_tree = table_to_tree(parse_tolerant(gold_table, fmt)[0])
+    return teds_of_trees(pred_tree, gold_tree)
+
+
 _NUMERIC = re.compile(r"-?\d[\d,]*(?:\.\d+)?\s*%?")
 
 
@@ -300,7 +314,7 @@ def _flatten_gold(records: Iterable[dict]) -> list[_GoldRecord]:
             gold_answer = record["gold_answer"]
             turns = record.get("turns")
         except (KeyError, TypeError, ValueError) as exc:
-            raise FileFormatError(f"bad gold record: {exc}")
+            raise FileFormatError(f"bad gold record {record.get('sample_id')}: {exc!r}")
         meta = record.get("meta")
         tr_format = meta.get("tr_format") if isinstance(meta, dict) else None
         if turns:
@@ -396,7 +410,6 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
     elif task is TaskKind.TR:
         gold_table = str(gold_answer.get("answer", ""))
         fmt = TableFormat(tr_format) if tr_format else sniff_format(gold_table)
-        gold_html, _ = convert(gold_table, fmt)
         if isinstance(payload, dict) and "answer" not in payload:
             # an object without an answer is part of the table text, such as
             # the {} of an empty LaTeX \multicolumn, not a wrapped answer
@@ -406,7 +419,7 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
             pred_table = str(payload["answer"])
         else:
             pred_table = str(payload)
-        record["teds"] = score_tr(pred_table, fmt, gold_html)
+        record["teds"] = _score_tr_text(pred_table, gold_table, fmt)
         record["format"] = fmt.value
     else:  # QA_WRAP
         gold_text = gold_answer.get("answer", "")

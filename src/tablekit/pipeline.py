@@ -23,7 +23,7 @@ from . import __version__
 from .core import Table, checked, table_from_dict
 from .formats import detect_format, parse, serialize, sniff_format
 from .formats.common import ParseError, TableFormat, UnrepresentableInFormat
-from .metrics.evaluate import MetricReport, _read_jsonl, evaluate
+from .metrics.evaluate import FileFormatError, MetricReport, _flatten_gold, _read_jsonl, evaluate
 from .render import (
     DEFAULT_STYLE_MIX,
     CommandRasterizer,
@@ -485,9 +485,11 @@ def _iter_requests_responses(record: dict):
 
 def dataset_stats(samples_path: str | Path) -> dict:
     """Summary of a samples.jsonl file, from the records alone. The file is
-    read as eval reads it; a line that is not a JSON object raises
-    FileFormatError."""
+    read as eval reads it: a line that is not a JSON object, or a record
+    that eval could not score or whose meta the summary cannot read,
+    raises FileFormatError naming the sample."""
     records = _read_jsonl(samples_path)
+    _flatten_gold(records)
     request_lengths: list[int] = []
     response_lengths: list[int] = []
     rows: list[int] = []
@@ -500,9 +502,16 @@ def dataset_stats(samples_path: str | Path) -> dict:
             request_lengths.append(len(request.split()))
             response_lengths.append(len(response.split()))
         meta = record.get("meta", {})
+        if not isinstance(meta, dict):
+            raise FileFormatError(f"bad record {record['sample_id']}: meta is not an object")
+        if meta.get("style_family") and "table_id" not in record:
+            raise FileFormatError(f"bad record {record['sample_id']}: a style_family but no table_id")
         if "n_rows" in meta and "n_cols" in meta:
-            rows.append(int(meta["n_rows"]))
-            cols.append(int(meta["n_cols"]))
+            try:
+                rows.append(int(meta["n_rows"]))
+                cols.append(int(meta["n_cols"]))
+            except (TypeError, ValueError) as exc:
+                raise FileFormatError(f"bad record {record['sample_id']}: table size {exc}")
 
     def _avg(values: Sequence[int]) -> float:
         return sum(values) / len(values) if values else 0.0

@@ -436,6 +436,99 @@ def _last_json_object(text: str) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
+# tree edit distance: the package's former full-width Zhang-Shasha DP, every
+# keyroot pair over the whole |T1| x |T2| table, kept as the reference for the
+# banded DP; it reads the package's TreeNode and rename cost (the cost model,
+# not the algorithm)
+# ---------------------------------------------------------------------------
+
+from tablekit.metrics.teds import _rename_cost  # noqa: E402
+
+
+def _label(node) -> tuple:
+    return (node.tag, node.colspan, node.rowspan, node.content)
+
+
+def _annotate(root) -> tuple[list, list[int], list[int]]:
+    """Postorder nodes (1-based), leftmost-leaf indices, keyroots."""
+    nodes: list = []
+
+    stack = [(root, False)]
+    while stack:
+        node, visited = stack.pop()
+        if visited:
+            nodes.append(node)
+        else:
+            stack.append((node, True))
+            for child in reversed(node.children):
+                stack.append((child, False))
+
+    index = {id(n): i for i, n in enumerate(nodes, start=1)}
+    lml = [0] * (len(nodes) + 1)
+    for i, node in enumerate(nodes, start=1):
+        leftmost = node
+        while leftmost.children:
+            leftmost = leftmost.children[0]
+        lml[i] = index[id(leftmost)]
+    last_for_leaf: dict[int, int] = {}
+    for i in range(1, len(nodes) + 1):
+        last_for_leaf[lml[i]] = i
+    keyroots = sorted(last_for_leaf.values())
+    return nodes, lml, keyroots
+
+
+def tree_edit_distance(root1, root2) -> float:
+    nodes1, lml1, keyroots1 = _annotate(root1)
+    nodes2, lml2, keyroots2 = _annotate(root2)
+    size1, size2 = len(nodes1), len(nodes2)
+    # a rename cost depends only on the two labels, so it is computed once
+    # per distinct pair of labels (keyed by label ids)
+    label_ids: dict[tuple, int] = {}
+    ids1 = [label_ids.setdefault(_label(n), len(label_ids)) for n in nodes1]
+    ids2 = [label_ids.setdefault(_label(n), len(label_ids)) for n in nodes2]
+    n_labels = len(label_ids)
+    costs: dict[int, float] = {}
+    td = [[0.0] * (size2 + 1) for _ in range(size1 + 1)]
+
+    for i in keyroots1:
+        for j in keyroots2:
+            ioff = lml1[i] - 1
+            joff = lml2[j] - 1
+            m = i - ioff
+            n = j - joff
+            fd = [[0.0] * (n + 1) for _ in range(m + 1)]
+            for x in range(1, m + 1):
+                fd[x][0] = fd[x - 1][0] + 1.0
+            for y in range(1, n + 1):
+                fd[0][y] = fd[0][y - 1] + 1.0
+            for x in range(1, m + 1):
+                node_x = x + ioff
+                row = fd[x]
+                above = fd[x - 1]
+                whole_left = lml1[node_x] == lml1[i]
+                key_x = ids1[node_x - 1] * n_labels
+                for y in range(1, n + 1):
+                    node_y = y + joff
+                    if whole_left and lml2[node_y] == lml2[j]:
+                        key = key_x + ids2[node_y - 1]
+                        cost = costs.get(key)
+                        if cost is None:
+                            cost = costs[key] = _rename_cost(nodes1[node_x - 1], nodes2[node_y - 1])
+                        best = min(above[y] + 1.0, row[y - 1] + 1.0, above[y - 1] + cost)
+                        row[y] = best
+                        td[node_x][node_y] = best
+                    else:
+                        p = lml1[node_x] - 1 - ioff
+                        q = lml2[node_y] - 1 - joff
+                        row[y] = min(
+                            above[y] + 1.0,
+                            row[y - 1] + 1.0,
+                            fd[p][q] + td[node_x][node_y],
+                        )
+    return td[size1][size2]
+
+
+# ---------------------------------------------------------------------------
 # text metrics: the package's former per-character routines, which look up
 # and scale one advance per call and re-measure every candidate line; kept as
 # the reference for the per-(font, size) advance tables and running widths

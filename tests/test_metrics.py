@@ -11,12 +11,14 @@ import time
 import pytest
 
 from tablekit.cli import main
-from tablekit.core import table_from_dict
-from tablekit.formats import convert, serialize
-from tablekit.formats.common import TableFormat
+from tablekit.core import AnchorCell, Table, table_from_dict
+from tablekit.formats import convert, parse_tolerant, serialize
+from tablekit.formats.common import SENTINEL_HTML, TableFormat
+from tablekit.formats.html import serialize_html
 from tablekit.metrics.bleu import LengthMismatch, bleu, tokenize
 from tablekit.metrics.evaluate import (
     FileFormatError,
+    _score_tr_text,
     aggregate,
     answers_match,
     evaluate,
@@ -35,6 +37,7 @@ from tablekit.metrics.teds import (
     TreeNode,
     html_to_tree,
     levenshtein,
+    table_to_tree,
     teds,
     tree_edit_distance,
     tree_size,
@@ -257,6 +260,234 @@ def test_teds_long_cells_time_bounded():
     got = teds(f"<table><tr><td>{a}</td></tr></table>", f"<table><tr><td>{b}</td></tr></table>")
     assert time.perf_counter() - start < 0.5
     assert abs(got - (1.0 - (37 / 3000) / 3)) < 1e-12
+
+
+# the banded DP against the former full-width DP (oracles.tree_edit_distance)
+
+
+def _char_edits(rng: random.Random, text: str, n: int) -> str:
+    chars = list(text)
+    for _ in range(n):
+        op = rng.randrange(3) if chars else 0
+        at = rng.randrange(len(chars) + (op == 0))
+        if op == 0:
+            chars.insert(at, rng.choice("xyzé "))
+        elif op == 1:
+            del chars[at]
+        else:
+            chars[at] = rng.choice("qrs")
+    return "".join(chars)
+
+
+def _copy_tree(node: TreeNode) -> TreeNode:
+    return TreeNode(node.tag, node.content, node.colspan, node.rowspan, [_copy_tree(c) for c in node.children])
+
+
+def _edited_table_tree(rng: random.Random, tree: TreeNode, edit: str) -> TreeNode:
+    """A copy of a table tree with one of the edits a model makes."""
+    out = _copy_tree(tree)
+    rows = out.children
+    cells = [cell for row in rows for cell in row.children]
+    if edit in ("one_cell", "four_cells"):
+        for cell in rng.sample(cells, min(len(cells), 1 if edit == "one_cell" else 4)):
+            cell.content = _char_edits(rng, cell.content, rng.randint(1, 5))
+    elif edit == "drop_row" and rows:
+        del rows[rng.randrange(len(rows))]
+    elif edit == "drop_column":
+        col = rng.randrange(max(len(row.children) for row in rows))
+        for row in rows:
+            if col < len(row.children):
+                del row.children[col]
+    elif edit == "grow":
+        for row in rows:
+            row.children.append(TreeNode("td", rng.choice(["", "new", "n 2"])))
+        width = max(len(row.children) for row in rows)
+        for _ in range(2):
+            rows.append(TreeNode("tr", children=[TreeNode("td", str(i)) for i in range(width)]))
+    return out
+
+
+_TABLE_EDITS = ("one_cell", "four_cells", "drop_row", "drop_column", "grow")
+
+
+def test_banded_distance_equals_full_width_reference_on_edited_tables():
+    rng = random.Random(720)
+    for i in range(30):
+        # a few tables up to 30x10, the rest up to 12x8, to bound the reference's time
+        shape = (30, 10) if i % 10 == 0 else (12, 8)
+        table = table_from_dict(oracles.random_table_dict(rng, *shape))
+        gold = table_to_tree(table)
+        for edit in _TABLE_EDITS:
+            pred = _edited_table_tree(rng, gold, edit)
+            want = oracles.tree_edit_distance(pred, gold)
+            assert tree_edit_distance(pred, gold) == want, (edit, i)
+            assert tree_edit_distance(gold, pred) == want, (edit, i)
+
+
+def test_banded_distance_equals_full_width_reference_on_random_trees():
+    rng = random.Random(721)
+    for _ in range(300):
+        t1 = node_from_tuple(oracles.random_tree(rng, max_nodes=rng.choice([6, 12, 30])))
+        t2 = node_from_tuple(oracles.random_tree(rng, max_nodes=rng.choice([6, 12, 30])))
+        assert tree_edit_distance(t1, t2) == oracles.tree_edit_distance(t1, t2), (t1, t2)
+
+
+def _mixed_tree(rng: random.Random, budget: list[int], depth: int = 0) -> TreeNode:
+    node = TreeNode(
+        rng.choice(["table", "tr", "td", "div"]),
+        "".join(rng.choice("ab") for _ in range(rng.randint(0, 3))),
+        rng.randint(1, 2),
+        rng.randint(1, 2),
+    )
+    while budget[0] > 0 and rng.random() < (0.75 if depth < 7 else 0.2):
+        budget[0] -= 1
+        node.children.append(_mixed_tree(rng, budget, depth + 1))
+    return node
+
+
+def _edited_mixed_tree(rng: random.Random, tree: TreeNode) -> TreeNode:
+    """A copy with a few node deletions (children move up), insertions
+    (adopting a run of siblings) and label changes."""
+    out = _copy_tree(tree)
+    for _ in range(rng.randint(1, 3)):
+        parents, stack = [], [out]
+        while stack:
+            node = stack.pop()
+            parents.append(node)
+            stack.extend(node.children)
+        parent = rng.choice(parents)
+        op = rng.randrange(3)
+        if op == 0 and parent.children:
+            at = rng.randrange(len(parent.children))
+            parent.children[at:at + 1] = parent.children[at].children
+        elif op == 1:
+            lo = rng.randint(0, len(parent.children))
+            hi = rng.randint(lo, len(parent.children))
+            parent.children[lo:hi] = [TreeNode("div", "new", children=parent.children[lo:hi])]
+        else:
+            parent.content = _char_edits(rng, parent.content, 1)
+    return out
+
+
+def test_banded_distance_equals_full_width_reference_on_deep_mixed_trees():
+    rng = random.Random(722)
+    for _ in range(150):
+        t1 = _mixed_tree(rng, [rng.randint(0, 40)])
+        t2 = _mixed_tree(rng, [rng.randint(0, 40)])
+        assert tree_edit_distance(t1, t2) == oracles.tree_edit_distance(t1, t2)
+        near = _edited_mixed_tree(rng, t1)
+        assert tree_edit_distance(t1, near) == oracles.tree_edit_distance(t1, near)
+        assert tree_edit_distance(near, t1) == oracles.tree_edit_distance(near, t1)
+
+
+def test_every_band_bounds_the_distance_and_is_exact_within_its_width():
+    """The lemma behind the band search, at every width k: the banded DP never
+    returns less than the full-width distance D, and returns D once D <= k."""
+    from tablekit.metrics.teds import _annotate, _banded_distance, _rename_cost
+
+    rng = random.Random(726)
+    for i in range(120):
+        t1 = _mixed_tree(rng, [rng.randint(0, 16)])
+        t2 = _edited_mixed_tree(rng, t1) if i % 2 else node_from_tuple(oracles.random_tree(rng, 12))
+        want = oracles.tree_edit_distance(t1, t2)
+        nodes1, lml1, keyroots1 = _annotate(t1)
+        nodes2, lml2, keyroots2 = _annotate(t2)
+        skew = len(nodes1) - len(nodes2)
+        for k in range(max(2, abs(skew)), len(nodes1) + len(nodes2) + 1):
+            got = _banded_distance(
+                lml1, keyroots1, lml2, keyroots2,
+                lambda x, y: _rename_cost(nodes1[x - 1], nodes2[y - 1]),
+                -((k - skew) // 2), (k + skew) // 2,
+            )
+            assert got >= want
+            if want <= k:
+                assert got == want
+
+
+def _distinct_cell_table(rng: random.Random, n_rows: int, n_cols: int) -> Table:
+    words = rng.sample(range(10**6), n_rows * n_cols)
+    anchors = tuple(
+        AnchorCell(r, c, content=f"{words[(r - 1) * n_cols + c - 1]:06d}")
+        for r in range(1, n_rows + 1)
+        for c in range(1, n_cols + 1)
+    )
+    return Table(n_rows, n_cols, anchors)
+
+
+def _with_one_cell_edited(table: Table) -> Table:
+    anchors = list(table.anchors)
+    middle = len(anchors) // 2
+    cell = anchors[middle]
+    anchors[middle] = AnchorCell(cell.row, cell.col, content="x" + cell.content[1:])
+    return Table(table.n_rows, table.n_cols, tuple(anchors))
+
+
+def test_one_cell_edit_of_a_large_table_scores_fast_and_exactly():
+    rng = random.Random(723)
+    big = _distinct_cell_table(rng, 50, 20)
+    gold, pred = serialize_html(big), serialize_html(_with_one_cell_edited(big))
+    start = time.perf_counter()
+    got = teds(pred, gold)
+    assert time.perf_counter() - start < 1.0
+    assert got == 1.0 - (1 / 6) / 1051
+    # the same construction, small enough for the full-width reference
+    small = _distinct_cell_table(rng, 12, 8)
+    t1, t2 = html_to_tree(serialize_html(_with_one_cell_edited(small))), html_to_tree(serialize_html(small))
+    want = oracles.tree_edit_distance(t1, t2)
+    assert tree_edit_distance(t1, t2) == want == 1 / 6
+    assert teds(serialize_html(_with_one_cell_edited(small)), serialize_html(small)) == 1.0 - want / 109
+
+
+# trees straight from the parsed table
+
+_AWKWARD_TEXT = [
+    "a&b", "&amp;", "&lt;td&gt;", "x<y", "p>q", "<b>bold</b>", "line\nbreak", "tab\there",
+    "runs   of  spaces", "  padded  ", "\u00a0nbsp\u00a0", "nel\u0085end", "ünïcödé ✓",
+    "汉字", "", " ", "\r\n", "&#39;", "<td>", "</table>",
+]
+
+
+def test_table_to_tree_equals_html_to_tree_of_serialize_html():
+    rng = random.Random(724)
+    for _ in range(300):
+        data = oracles.random_table_dict(rng, 8, 6)
+        for anchor in data["anchors"]:
+            anchor["content"] = "".join(rng.choice(_AWKWARD_TEXT) for _ in range(rng.randint(0, 3)))
+        if rng.random() < 0.5:
+            data["caption"] = rng.choice(_AWKWARD_TEXT)
+        table = table_from_dict(data)
+        assert table_to_tree(table) == html_to_tree(serialize_html(table))
+    wide = Table(1, 1200, (AnchorCell(1, 1, col_span=1200, content="wide"),))
+    assert table_to_tree(wide) == html_to_tree(serialize_html(wide))
+    assert table_to_tree(wide).children[0].children[0].colspan == 1000
+    sentinel = html_to_tree(SENTINEL_HTML)
+    assert sentinel == TreeNode("table")
+    assert table_to_tree(None) == sentinel
+    gap = Table(2, 2, (AnchorCell(1, 1, content="only one cell"),))
+    assert table_to_tree(gap) == sentinel
+
+
+def test_tr_scoring_from_parsed_tables_equals_convert_then_full_teds():
+    """score_sample's tr path equals converting both sides to HTML and running
+    the former full-width TEDS, on random tables in each format with random
+    character edits (many break the spans or the table)."""
+    rng = random.Random(725)
+    for i in range(240):
+        fmt = list(TableFormat)[i % 3]
+        data = oracles.random_table_dict(rng, 6, 5, spans=fmt is not TableFormat.MARKDOWN)
+        if fmt is TableFormat.LATEX:
+            data["caption"] = None
+        gold_text = serialize(table_from_dict(data), fmt)
+        pred_text = gold_text if i % 10 == 0 else _char_edits(rng, gold_text, rng.randint(1, 8))
+        pred_html, gold_html = convert(pred_text, fmt)[0], convert(gold_text, fmt)[0]
+        t1, t2 = html_to_tree(pred_html), html_to_tree(gold_html)
+        if pred_html == gold_html:
+            want = 1.0
+        else:
+            want = 1.0 - oracles.tree_edit_distance(t1, t2) / max(tree_size(t1), tree_size(t2))
+        assert _score_tr_text(pred_text, gold_text, fmt) == want, (fmt, pred_text)
+        assert score_tr(pred_text, fmt, gold_html) == want
+        assert table_to_tree(parse_tolerant(pred_text, fmt)[0]) == t1
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from tablekit.cli import main
 from tablekit.core import table_from_dict, table_to_dict
 from tablekit.formats import serialize
 from tablekit.formats.common import ParseError, TableFormat
+from tablekit.metrics.evaluate import FileFormatError
 from tablekit.pipeline import (
     CorpusLoad,
     PipelineConfig,
@@ -374,6 +375,29 @@ def test_dataset_stats_empty_file(tmp_path):
     assert stats["per_task"] == {}
     assert stats["request_tokens_avg"] == 0.0
     assert stats["table_rows"] == {"min": 0, "max": 0, "mean": 0.0}
+
+
+_TSD_GOLD = {"row_number": 1, "column_number": 2}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"sample_id": "s-7"},
+        {"sample_id": "s-7", "task": "tr", "gold_answer": "t"},
+        {"sample_id": "s-7", "task": "tsd", "gold_answer": _TSD_GOLD, "meta": 3},
+        {"sample_id": "s-7", "task": "tsd", "gold_answer": _TSD_GOLD, "meta": {"n_rows": "a", "n_cols": 1}},
+        {"sample_id": "s-7", "task": "tsd", "gold_answer": _TSD_GOLD, "meta": {"style_family": "web_page"}},
+        {"sample_id": "s-7", "task": "tsd", "gold_answer": _TSD_GOLD, "turns": ["not a turn"]},
+    ],
+)
+def test_stats_of_an_unreadable_record_is_an_error_naming_it(tmp_path, capsys, record):
+    path = tmp_path / "samples.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match="s-7"):
+        dataset_stats(path)
+    assert main(["stats", str(path)]) == 1
+    assert "s-7" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
