@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..formats import convert, parse_tolerant, sniff_format
+from ..formats import parse_tolerant, sniff_format
 from ..formats.common import TableFormat
 from ..taskdefs import TaskKind
 from .bleu import bleu
 from .extraction import ExtractionResult, ExtractionStatus, extract_json_answer
-from .teds import table_to_tree, teds, teds_of_trees
+from .teds import html_to_tree, table_to_tree, teds_of_trees
 
 
 class FileFormatError(ValueError):
@@ -158,13 +158,15 @@ def score_rce(payload: object, gold: Mapping) -> float:
 
 
 def score_tr(pred_text: object, pred_fmt: TableFormat, gold_html: str) -> float:
-    """Convert the prediction to canonical HTML, then TEDS against gold.
+    """TEDS of the prediction, parsed tolerantly in its format, against the
+    gold HTML, parsed as teds parses HTML (html_to_tree), so one repair
+    policy holds for both sides.
 
-    Unrecoverable predictions fall back to the conversion sentinel, which
+    An unrecoverable prediction gives the sentinel table's tree, which
     scores near zero but never crashes.
     """
-    html, _diag = convert(str(pred_text), pred_fmt)
-    return teds(html, gold_html)
+    pred_tree = table_to_tree(parse_tolerant(str(pred_text), pred_fmt)[0])
+    return teds_of_trees(pred_tree, html_to_tree(gold_html))
 
 
 def _score_tr_text(pred_table: str, gold_table: str, fmt: TableFormat) -> float:

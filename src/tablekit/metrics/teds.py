@@ -10,9 +10,12 @@ for two td nodes it costs 1 on any span mismatch and otherwise the
 Levenshtein distance of their contents divided by the longer length
 (0 when both are empty); matching non-td tags rename for free.
 
-A tree comes from HTML text (html_to_tree) or straight from a parsed
-Table (table_to_tree, which gives the tree html_to_tree(serialize_html(t))
-gives, without writing or parsing HTML). Two equal HTML strings give
+A tree is built from a parsed Table (table_to_tree). HTML text becomes a
+tree by the package's one tolerant HTML parser (formats.parse_tolerant)
+followed by table_to_tree (html_to_tree), so teds, score_tr and the tr
+scorer of evaluate repair sloppy HTML the same way: ragged rows are
+padded, spans are clamped to the grid and to the parser's size limits, and
+a nested table is flattened into its cell. Two equal HTML strings give
 identical trees, and identical trees are at distance exactly 0, so teds
 returns 1.0 for equal strings without building the trees, and
 tree_edit_distance returns 0.0 for equal trees without running the DP.
@@ -28,9 +31,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from html.parser import HTMLParser
 
 from ..core import InvalidTable, Table, expand_grid
+from ..formats import parse_tolerant
+from ..formats.common import MAX_SPAN, TableFormat
 
 
 @dataclass
@@ -46,128 +50,20 @@ def tree_size(root: TreeNode) -> int:
     return 1 + sum(tree_size(c) for c in root.children)
 
 
-_MAX_SPAN = 1000
-
-
-def _span_value(raw: str | None) -> int:
-    try:
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        return 1
-    return min(max(value, 1), _MAX_SPAN)
-
-
-class _TreeBuilder(HTMLParser):
-    """Tolerant collector of the first table's rows and cells."""
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.rows: list[TreeNode] = []
-        self._row: TreeNode | None = None
-        self._cell: TreeNode | None = None
-        self._text: list[str] = []
-        self._table_depth = 0
-        self._started = False
-        self._done = False
-
-    def _close_cell(self) -> None:
-        if self._cell is not None:
-            self._cell.content = " ".join("".join(self._text).split())
-            self._cell = None
-            self._text = []
-
-    def _close_row(self) -> None:
-        self._close_cell()
-        self._row = None
-
-    def _inside(self) -> bool:
-        return self._started and self._table_depth <= 1 and not self._done
-
-    def handle_starttag(self, tag, attrs):
-        if self._done:
-            return
-        if tag == "table":
-            if self._started:
-                self._table_depth += 1  # nested table: ignore its contents
-            else:
-                self._started = True
-                self._table_depth = 1
-            return
-        if not self._inside():
-            if tag in ("tr", "td", "th") and not self._started:
-                self._started = True  # fragment without a table wrapper
-                self._table_depth = 1
-            else:
-                return
-        if tag == "tr":
-            self._close_row()
-            self._row = TreeNode("tr")
-            self.rows.append(self._row)
-        elif tag in ("td", "th"):
-            self._close_cell()
-            if self._row is None:
-                self._row = TreeNode("tr")
-                self.rows.append(self._row)
-            attr_map = dict(attrs)
-            self._cell = TreeNode(
-                "td",
-                colspan=_span_value(attr_map.get("colspan")),
-                rowspan=_span_value(attr_map.get("rowspan")),
-            )
-            self._row.children.append(self._cell)
-        elif tag == "br" and self._cell is not None:
-            self._text.append(" ")
-
-    def handle_startendtag(self, tag, attrs):
-        self.handle_starttag(tag, attrs)
-
-    def handle_endtag(self, tag):
-        if self._done:
-            return
-        if tag == "table":
-            if self._table_depth > 1:
-                self._table_depth -= 1
-            elif self._started:
-                self._close_row()
-                self._done = True
-            return
-        if not self._inside():
-            return
-        if tag in ("td", "th"):
-            self._close_cell()
-        elif tag == "tr":
-            self._close_row()
-
-    def handle_data(self, data):
-        if self._inside() and self._cell is not None:
-            self._text.append(data)
-
-
 def html_to_tree(html: str) -> TreeNode:
-    """Canonical tree of the first table found in the text.
-
-    th becomes td; thead/tbody and all other wrapper tags vanish; only
-    colspan/rowspan survive (default 1); cell text is whitespace-collapsed;
-    nested tables are ignored. Anything unrecoverable yields the bare
-    single-node table tree.
-    """
-    builder = _TreeBuilder()
-    try:
-        builder.feed(str(html))
-        builder.close()
-        builder._close_row()
-    except Exception:
-        return TreeNode("table")
-    return TreeNode("table", children=builder.rows)
+    """The tree of the first table in the text: the tolerant HTML parse
+    (formats.parse_tolerant) followed by table_to_tree, so HTML is scored
+    with the repairs every tr score gets. Text with no recoverable table
+    gives the single-node tree of the sentinel table."""
+    return table_to_tree(parse_tolerant(str(html), TableFormat.HTML)[0])
 
 
 def table_to_tree(table: Table | None) -> TreeNode:
-    """The tree that html_to_tree(serialize_html(table)) gives, built from
-    the table without writing or parsing HTML: one tr per grid row, holding
-    the anchors whose top-left corner is in it; th becomes td; spans are
-    clamped as html_to_tree clamps them; cell text is whitespace-collapsed;
-    the caption is dropped. None or an invalid table gives the single-node
-    tree of the sentinel table."""
+    """The canonical tree of a table: one tr per grid row, holding the
+    anchors whose top-left corner is in it; th becomes td; spans are
+    clamped to MAX_SPAN; cell text is whitespace-collapsed; the caption is
+    dropped. None or an invalid table gives the single-node tree of the
+    sentinel table."""
     if table is None:
         return TreeNode("table")
     try:
@@ -177,7 +73,7 @@ def table_to_tree(table: Table | None) -> TreeNode:
     rows = []
     for r in range(1, table.n_rows + 1):
         cells = [
-            TreeNode("td", " ".join(a.content.split()), min(a.col_span, _MAX_SPAN), min(a.row_span, _MAX_SPAN))
+            TreeNode("td", " ".join(a.content.split()), min(a.col_span, MAX_SPAN), min(a.row_span, MAX_SPAN))
             for a in grid.row_anchors(r)
         ]
         rows.append(TreeNode("tr", children=cells))
@@ -299,6 +195,13 @@ def tree_edit_distance(root1: TreeNode, root2: TreeNode) -> float:
     bit. Hence a result distance(k) <= k is exact, since
     D <= distance(k) <= k.
 
+    Parity. c(x, y) has the parity of n1 - n2, since |d| + |s - d| and
+    d + (s - d) = s differ by an even number (d = x - y, s = n1 - n2). So
+    when k - (n1 - n2) is even no state has c(x, y) = k + 1, the band for k
+    is the band for k + 1, and distance(k) = distance(k + 1) is exact once
+    it is at most k + 1. The search therefore moves such a k to k + 1
+    before each round; the band, and so the result, is unchanged.
+
     The search starts at k = max(2, |n1 - n2|): D is at least |n1 - n2|
     (the root pair is a state of every derivation), and this band holds a
     path of inserts and deletes from the empty forests to the roots, so the
@@ -329,6 +232,8 @@ def tree_edit_distance(root1: TreeNode, root2: TreeNode) -> float:
     skew, full = size1 - size2, size1 + size2
     k = max(2, abs(skew))
     while True:
+        if (k - skew) % 2 == 0:
+            k += 1  # the band for k is the band for k + 1 (see Parity)
         # c(x, y) <= k is x - y in [ceil((skew - k) / 2), floor((skew + k) / 2)]
         distance = _banded_distance(lml1, keyroots1, lml2, keyroots2, rename,
                                     -((k - skew) // 2), (k + skew) // 2)

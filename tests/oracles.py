@@ -529,6 +529,131 @@ def tree_edit_distance(root1, root2) -> float:
 
 
 # ---------------------------------------------------------------------------
+# HTML to tree: the package's former second HTML parser, a tolerant collector
+# of the first table's raw rows and cells (no grid repair, nested tables
+# ignored), kept as the reference for table_to_tree on canonical HTML
+# ---------------------------------------------------------------------------
+
+from html.parser import HTMLParser  # noqa: E402
+
+from tablekit.metrics.teds import TreeNode  # noqa: E402
+
+_MAX_SPAN = 1000
+
+
+def _span_value(raw: str | None) -> int:
+    try:
+        value = int(str(raw).strip())
+    except (TypeError, ValueError):
+        return 1
+    return min(max(value, 1), _MAX_SPAN)
+
+
+class _TreeBuilder(HTMLParser):
+    """Tolerant collector of the first table's rows and cells."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.rows: list[TreeNode] = []
+        self._row: TreeNode | None = None
+        self._cell: TreeNode | None = None
+        self._text: list[str] = []
+        self._table_depth = 0
+        self._started = False
+        self._done = False
+
+    def _close_cell(self) -> None:
+        if self._cell is not None:
+            self._cell.content = " ".join("".join(self._text).split())
+            self._cell = None
+            self._text = []
+
+    def _close_row(self) -> None:
+        self._close_cell()
+        self._row = None
+
+    def _inside(self) -> bool:
+        return self._started and self._table_depth <= 1 and not self._done
+
+    def handle_starttag(self, tag, attrs):
+        if self._done:
+            return
+        if tag == "table":
+            if self._started:
+                self._table_depth += 1  # nested table: ignore its contents
+            else:
+                self._started = True
+                self._table_depth = 1
+            return
+        if not self._inside():
+            if tag in ("tr", "td", "th") and not self._started:
+                self._started = True  # fragment without a table wrapper
+                self._table_depth = 1
+            else:
+                return
+        if tag == "tr":
+            self._close_row()
+            self._row = TreeNode("tr")
+            self.rows.append(self._row)
+        elif tag in ("td", "th"):
+            self._close_cell()
+            if self._row is None:
+                self._row = TreeNode("tr")
+                self.rows.append(self._row)
+            attr_map = dict(attrs)
+            self._cell = TreeNode(
+                "td",
+                colspan=_span_value(attr_map.get("colspan")),
+                rowspan=_span_value(attr_map.get("rowspan")),
+            )
+            self._row.children.append(self._cell)
+        elif tag == "br" and self._cell is not None:
+            self._text.append(" ")
+
+    def handle_startendtag(self, tag, attrs):
+        self.handle_starttag(tag, attrs)
+
+    def handle_endtag(self, tag):
+        if self._done:
+            return
+        if tag == "table":
+            if self._table_depth > 1:
+                self._table_depth -= 1
+            elif self._started:
+                self._close_row()
+                self._done = True
+            return
+        if not self._inside():
+            return
+        if tag in ("td", "th"):
+            self._close_cell()
+        elif tag == "tr":
+            self._close_row()
+
+    def handle_data(self, data):
+        if self._inside() and self._cell is not None:
+            self._text.append(data)
+
+
+def html_to_tree(html: str) -> TreeNode:
+    """Canonical tree of the first table found in the text.
+
+    th becomes td; thead/tbody and all other wrapper tags vanish; only
+    colspan/rowspan survive (default 1); cell text is whitespace-collapsed;
+    nested tables are ignored. Anything unrecoverable yields the bare
+    single-node table tree.
+    """
+    builder = _TreeBuilder()
+    try:
+        builder.feed(str(html))
+        builder.close()
+        builder._close_row()
+    except Exception:
+        return TreeNode("table")
+    return TreeNode("table", children=builder.rows)
+
+
+# ---------------------------------------------------------------------------
 # text metrics: the package's former per-character routines, which look up
 # and scale one advance per call and re-measure every candidate line; kept as
 # the reference for the per-(font, size) advance tables and running widths

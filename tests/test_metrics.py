@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import random
@@ -52,6 +53,10 @@ def node_from_tuple(t: tuple) -> TreeNode:
     return TreeNode(t[0], t[1], t[2], t[3], [node_from_tuple(c) for c in t[4]])
 
 
+def tuple_from_node(node: TreeNode) -> tuple:
+    return (node.tag, node.content, node.colspan, node.rowspan, [tuple_from_node(c) for c in node.children])
+
+
 def tuple_to_html(t: tuple) -> str:
     parts = ["<table>"]
     for row in t[4]:
@@ -92,14 +97,18 @@ def test_tree_th_and_wrappers_fold_away():
 
 
 def test_tree_spans_kept_and_clamped():
+    # spans that fit the grid are kept; an unreadable or zero span reads as 1
     tree = html_to_tree(
-        '<table><tr><td colspan="3" rowspan="2">a</td>'
-        '<td colspan="9999">b</td><td colspan="abc" rowspan="0">c</td></tr></table>'
+        '<table><tr><td colspan="3" rowspan="2">a</td><td colspan="abc" rowspan="0">c</td></tr>'
+        "<tr><td>d</td></tr></table>"
     )
-    a, b, c = tree.children[0].children
-    assert (a.colspan, a.rowspan) == (3, 2)
-    assert b.colspan == 1000
-    assert (c.colspan, c.rowspan) == (1, 1)
+    (a, c), (d,) = (row.children for row in tree.children)
+    assert (a.content, a.colspan, a.rowspan) == ("a", 3, 2)
+    assert (c.content, c.colspan, c.rowspan) == ("c", 1, 1)
+    assert (d.content, d.colspan, d.rowspan) == ("d", 1, 1)
+    # absurd spans are capped to the grid and the size limits, as convert caps them
+    (b,) = html_to_tree('<table><tr><td colspan="999999" rowspan="9999">b</td></tr></table>').children[0].children
+    assert (b.colspan, b.rowspan) == (512, 1)
 
 
 def test_tree_whitespace_collapse_and_br():
@@ -115,12 +124,12 @@ def test_tree_garbage_is_single_node():
         assert tree_size(tree) == 1
 
 
-def test_tree_nested_table_contents_ignored():
-    tree = html_to_tree(
-        "<table><tr><td>x<table><tr><td>inner</td></tr></table></td></tr></table>"
-    )
+def test_tree_nested_table_flattened_into_its_cell():
+    html = "<table><tr><td>x<table><tr><td>inner</td></tr></table></td></tr></table>"
+    tree = html_to_tree(html)
     assert tree_size(tree) == 3
-    assert tree.children[0].children[0].content == "x"
+    assert tree.children[0].children[0].content == "xinner"
+    assert tree == html_to_tree(convert(html, TableFormat.HTML)[0])
 
 
 def test_tree_second_table_ignored():
@@ -142,7 +151,8 @@ def test_tree_implicit_rows_and_fragments():
 
 def test_tree_unclosed_tags_tolerated():
     tree = html_to_tree("<table><tr><td>a<td>b<tr><td>c")
-    assert [len(r.children) for r in tree.children] == [2, 1]
+    # the ragged second row is padded
+    assert [len(r.children) for r in tree.children] == [2, 2]
     assert tree.children[1].children[0].content == "c"
 
 
@@ -223,13 +233,13 @@ def test_distance_matches_exhaustive_oracle():
 
 
 def test_teds_matches_exhaustive_oracle_via_html():
+    # the oracle runs on the repaired trees that html_to_tree builds
     rng = random.Random(403)
     for _ in range(40):
-        t1 = oracles.random_tree(rng)
-        t2 = oracles.random_tree(rng)
-        got = teds(tuple_to_html(t1), tuple_to_html(t2))
-        want = oracles.exhaustive_teds(t1, t2)
-        assert got == want, (t1, t2)
+        h1 = tuple_to_html(oracles.random_tree(rng))
+        h2 = tuple_to_html(oracles.random_tree(rng))
+        want = oracles.exhaustive_teds(tuple_from_node(html_to_tree(h1)), tuple_from_node(html_to_tree(h2)))
+        assert teds(h1, h2) == want, (h1, h2)
 
 
 def test_distance_symmetry_and_triangle():
@@ -404,6 +414,27 @@ def test_every_band_bounds_the_distance_and_is_exact_within_its_width():
                 assert got == want
 
 
+def test_band_search_skips_the_round_whose_band_it_already_ran(monkeypatch):
+    """c(x, y) has the parity of n1 - n2, so for trees of equal size the band
+    for k = 2 is the band for k = 3, and a result of 3 is exact at once."""
+    teds_module = importlib.import_module("tablekit.metrics.teds")  # the package exports a function of that name
+    calls = []
+    banded = teds_module._banded_distance
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return banded(*args)
+
+    monkeypatch.setattr(teds_module, "_banded_distance", counted)
+
+    def one_row(colspan: int) -> TreeNode:
+        return TreeNode("table", children=[TreeNode("tr", children=[TreeNode("td", "v", colspan) for _ in range(3)])])
+
+    t1, t2 = one_row(1), one_row(2)  # three span mismatches: distance 3
+    assert tree_edit_distance(t1, t2) == oracles.tree_edit_distance(t1, t2) == 3.0
+    assert calls == [(-1, 1)]
+
+
 def _distinct_cell_table(rng: random.Random, n_rows: int, n_cols: int) -> Table:
     words = rng.sample(range(10**6), n_rows * n_cols)
     anchors = tuple(
@@ -456,11 +487,12 @@ def test_table_to_tree_equals_html_to_tree_of_serialize_html():
         if rng.random() < 0.5:
             data["caption"] = rng.choice(_AWKWARD_TEXT)
         table = table_from_dict(data)
+        assert table_to_tree(table) == oracles.html_to_tree(serialize_html(table))
         assert table_to_tree(table) == html_to_tree(serialize_html(table))
     wide = Table(1, 1200, (AnchorCell(1, 1, col_span=1200, content="wide"),))
-    assert table_to_tree(wide) == html_to_tree(serialize_html(wide))
+    assert table_to_tree(wide) == oracles.html_to_tree(serialize_html(wide))
     assert table_to_tree(wide).children[0].children[0].colspan == 1000
-    sentinel = html_to_tree(SENTINEL_HTML)
+    sentinel = oracles.html_to_tree(SENTINEL_HTML)
     assert sentinel == TreeNode("table")
     assert table_to_tree(None) == sentinel
     gap = Table(2, 2, (AnchorCell(1, 1, content="only one cell"),))
@@ -488,6 +520,30 @@ def test_tr_scoring_from_parsed_tables_equals_convert_then_full_teds():
         assert _score_tr_text(pred_text, gold_text, fmt) == want, (fmt, pred_text)
         assert score_tr(pred_text, fmt, gold_html) == want
         assert table_to_tree(parse_tolerant(pred_text, fmt)[0]) == t1
+
+
+_SLOPPY_GOLD = "<table><tr><td>a</td><td>b</td></tr><tr><td>c</td><td></td></tr></table>"
+_SLOPPY_HTML = [
+    "<table><tr><td>a<td>b<tr><td>c",  # unclosed tags, a ragged last row
+    "<table><tr><td>a<table><tr><td>x</td></tr></table></td><td>b</td></tr><tr><td>c</td><td></td></tr></table>",
+    '<table><tr><td rowspan="3">a</td><td>b</td></tr></table>',  # a span past the last row
+]
+
+
+def test_teds_score_tr_and_eval_score_html_alike():
+    """teds, score_tr and the tr scorer of score_sample repair HTML with one
+    parser, so they give one score for one prediction."""
+    cases = [(h, _SLOPPY_GOLD) for h in _SLOPPY_HTML]
+    rng = random.Random(727)
+    for _ in range(200):
+        gold = serialize_html(table_from_dict(oracles.random_table_dict(rng, 8, 6)))
+        cases.append((_char_edits(rng, gold, rng.randint(1, 8)), gold))
+    for h, g in cases:
+        want = teds(h, g)
+        assert score_tr(h, TableFormat.HTML, g) == want, h
+        assert score_sample(TaskKind.TR, h, {"answer": g}, "html")["teds"] == want, h
+    assert teds(_SLOPPY_HTML[0], _SLOPPY_GOLD) == 1.0
+    assert teds(_SLOPPY_HTML[2], _SLOPPY_GOLD) == 1.0 - 3 / 7
 
 
 # ---------------------------------------------------------------------------
