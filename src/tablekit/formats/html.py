@@ -1,5 +1,7 @@
 """HTML table subset: table, caption, thead, tbody, tr, td, th with
-colspan/rowspan. Everything else is stripped with a warning."""
+colspan/rowspan. Everything else is stripped with a warning; inside a cell,
+<br>, block tags and the rows and cells of a nested table become line
+breaks."""
 
 from __future__ import annotations
 
@@ -16,6 +18,9 @@ from .common import (
 )
 
 _STRUCTURAL = {"table", "caption", "thead", "tbody", "tfoot", "tr", "td", "th"}
+# tags that end a line of a cell's text, start or end tag alike
+_BLOCK = {"p", "div", "li", "ul", "ol", "h1", "h2", "h3", "h4", "h5", "h6", "blockquote", "pre", "hr"}
+_NESTED_CELL = {"tr", "td", "th"}
 
 
 class _TableHTMLParser(HTMLParser):
@@ -30,6 +35,9 @@ class _TableHTMLParser(HTMLParser):
         self.current_row: list[RawCell] | None = None
         self.current_cell: RawCell | None = None
         self.cell_parts: list[str] = []
+        # a block boundary was passed in the open cell: the next text starts
+        # a new line, unless it is the cell's first text
+        self.line_break = False
 
     def _loc(self) -> str:
         line, col = self.getpos()
@@ -61,6 +69,7 @@ class _TableHTMLParser(HTMLParser):
             self.current_cell.content = text
             self.current_cell = None
             self.cell_parts = []
+            self.line_break = False
 
     def _close_row(self) -> None:
         self._close_cell()
@@ -68,8 +77,15 @@ class _TableHTMLParser(HTMLParser):
             self.buffer.rows.append(self.current_row)
             self.current_row = None
 
+    def _mark_line_break(self, tag: str) -> None:
+        if self.current_cell is not None and (
+            tag in _BLOCK or (self.table_depth > 1 and tag in _NESTED_CELL)
+        ):
+            self.line_break = True
+
     def handle_starttag(self, tag, attrs):
         tag = tag.lower()
+        self._mark_line_break(tag)
         if tag == "table":
             if self.table_depth == 0 and not self.finished_table:
                 self.table_depth = 1
@@ -129,6 +145,7 @@ class _TableHTMLParser(HTMLParser):
 
     def handle_endtag(self, tag):
         tag = tag.lower()
+        self._mark_line_break(tag)
         if tag == "table":
             if self.table_depth > 1:
                 self.table_depth -= 1
@@ -151,6 +168,14 @@ class _TableHTMLParser(HTMLParser):
         if self.in_caption:
             self.caption_parts.append(data)
         elif self.current_cell is not None:
+            if self.line_break:
+                if not data.strip():
+                    return
+                # one break between the texts, in place of the spaces at it
+                text = "".join(self.cell_parts).rstrip()
+                self.cell_parts = [text + "\n"] if text else []
+                data = data.lstrip()
+                self.line_break = False
             self.cell_parts.append(data)
         elif self.table_depth == 1 and data.strip():
             self._warn("stray text inside table ignored")

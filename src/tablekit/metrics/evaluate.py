@@ -278,7 +278,9 @@ class _GoldRecord:
     sample_id: str
     task: TaskKind
     gold_answer: dict
-    tr_format: str | None
+    tr_format: str | None  # set for every tr answer, None for other tasks
+    split: str
+    source: dict  # the record or turn the answer came from
 
 
 def _gold_problem(task: TaskKind, gold_answer: object, tr_format: object) -> str | None:
@@ -306,42 +308,47 @@ def _gold_problem(task: TaskKind, gold_answer: object, tr_format: object) -> str
 
 
 def _flatten_gold(records: Iterable[dict]) -> list[_GoldRecord]:
-    """One record per scored answer; a gold answer that its task's scorer
-    cannot read raises FileFormatError naming the sample."""
+    """One record per scored answer, the one place that splits a gold record
+    into answers: a conversation gives one per turn (ids suffixed #turn1,
+    #turn2, ...), any other record one. A gold answer that its task's scorer
+    cannot read raises FileFormatError naming the sample.
+
+    A tr answer's format is the record's meta.tr_format for a single record
+    and is sniffed from the gold answer otherwise: turns can mix formats
+    within one conversation, and the conversation-level value mirrors turn 1
+    only.
+    """
     flat: list[_GoldRecord] = []
     for record in records:
         try:
             sample_id = str(record["sample_id"])
-            task = TaskKind(record["task"])
-            gold_answer = record["gold_answer"]
-            turns = record.get("turns")
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise FileFormatError(f"bad gold record {record.get('sample_id')}: {exc!r}")
         meta = record.get("meta")
-        tr_format = meta.get("tr_format") if isinstance(meta, dict) else None
-        if turns:
-            if not isinstance(turns, list):
-                raise FileFormatError(f"bad gold record {sample_id}: turns is not a list")
-            # turns can mix formats within one conversation, so each turn's
-            # format is sniffed from its own gold answer instead of inheriting
-            # the conversation-level value (which mirrors turn 1 only)
-            for i, turn in enumerate(turns, start=1):
-                try:
-                    turn_task = TaskKind(turn["task"])
-                    turn_gold = turn["gold_answer"]
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise FileFormatError(f"bad turn {i} in {sample_id}: {exc}")
-                problem = _gold_problem(turn_task, turn_gold, None)
-                if problem:
-                    raise FileFormatError(f"bad turn {i} in {sample_id}: {problem}")
-                flat.append(
-                    _GoldRecord(f"{sample_id}#turn{i}", turn_task, turn_gold, None)
-                )
-        else:
+        meta = meta if isinstance(meta, dict) else {}
+        split = meta.get("split", "train")
+        turns = record.get("turns")
+        if turns and not isinstance(turns, list):
+            raise FileFormatError(f"bad gold record {sample_id}: turns is not a list")
+        answers = (
+            [(f"{sample_id}#turn{i}", turn, None) for i, turn in enumerate(turns, start=1)]
+            if turns
+            else [(sample_id, record, meta.get("tr_format"))]
+        )
+        for answer_id, source, tr_format in answers:
+            try:
+                task = TaskKind(source["task"])
+                gold_answer = source["gold_answer"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FileFormatError(f"bad gold record {answer_id}: {exc!r}")
             problem = _gold_problem(task, gold_answer, tr_format)
             if problem:
-                raise FileFormatError(f"bad gold record {sample_id}: {problem}")
-            flat.append(_GoldRecord(sample_id, task, gold_answer, tr_format))
+                raise FileFormatError(f"bad gold record {answer_id}: {problem}")
+            if task is not TaskKind.TR:
+                tr_format = None
+            elif not tr_format:
+                tr_format = sniff_format(str(gold_answer.get("answer", ""))).value
+            flat.append(_GoldRecord(answer_id, task, gold_answer, tr_format, split, source))
     return flat
 
 
@@ -362,7 +369,7 @@ def _prediction_map(records: Iterable[dict]) -> dict[str, str]:
     return responses
 
 
-def _zero_scores(task: TaskKind, gold_answer: Mapping, tr_format: str | None) -> dict:
+def _zero_scores(task: TaskKind, gold_answer: Mapping, fmt: TableFormat | None) -> dict:
     if task is TaskKind.TSD:
         return {"row_correct": False, "column_correct": False}
     if task in (TaskKind.TCE, TaskKind.TCL):
@@ -372,8 +379,6 @@ def _zero_scores(task: TaskKind, gold_answer: Mapping, tr_format: str | None) ->
     if task is TaskKind.RCE:
         return {"f1": 0.0, "axis": gold_answer.get("axis", "row")}
     if task is TaskKind.TR:
-        gold_table = str(gold_answer.get("answer", ""))
-        fmt = TableFormat(tr_format) if tr_format else sniff_format(gold_table)
         return {"teds": 0.0, "format": fmt.value}
     gold_text = gold_answer.get("answer", "")
     return {
@@ -388,12 +393,18 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
 
     An empty response (extraction Failed) hard-zeroes every score for the
     sample; in particular it never collects the empty-vs-empty set match.
+    A tr answer is scored in tr_format, or, when that is None, in the
+    format sniffed from the gold answer.
     """
+    fmt = None
+    if task is TaskKind.TR:
+        gold_table = str(gold_answer.get("answer", ""))
+        fmt = TableFormat(tr_format) if tr_format else sniff_format(gold_table)
     extraction: ExtractionResult = extract_json_answer(response, task)
     payload = extraction.payload
     record: dict = {"extraction": extraction.status.value}
     if extraction.status is ExtractionStatus.FAILED:
-        record.update(_zero_scores(task, gold_answer, tr_format))
+        record.update(_zero_scores(task, gold_answer, fmt))
         return record
     if task is TaskKind.TSD:
         row_ok, col_ok = score_tsd(payload, gold_answer)
@@ -410,8 +421,6 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
         record["f1"] = score_rce(payload, gold_answer)
         record["axis"] = gold_answer.get("axis", "row")
     elif task is TaskKind.TR:
-        gold_table = str(gold_answer.get("answer", ""))
-        fmt = TableFormat(tr_format) if tr_format else sniff_format(gold_table)
         if isinstance(payload, dict) and "answer" not in payload:
             # an object without an answer is part of the table text, such as
             # the {} of an empty LaTeX \multicolumn, not a wrapped answer

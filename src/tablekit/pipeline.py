@@ -15,15 +15,23 @@ import hashlib
 import json
 import os
 import shutil
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .core import Table, checked, table_from_dict
-from .formats import detect_format, parse, serialize, sniff_format
+from .formats import detect_format, parse, serialize
 from .formats.common import ParseError, TableFormat, UnrepresentableInFormat
-from .metrics.evaluate import FileFormatError, MetricReport, _flatten_gold, _read_jsonl, evaluate
+from .metrics.evaluate import (
+    FileFormatError,
+    MetricReport,
+    _flatten_gold,
+    _GoldRecord,
+    _read_jsonl,
+    evaluate,
+)
 from .render import (
     DEFAULT_STYLE_MIX,
     CommandRasterizer,
@@ -42,23 +50,6 @@ from .templates import default_pool, load_pool
 
 class PipelineConfigError(ValueError):
     """The pipeline config file is missing, malformed, or inconsistent."""
-
-
-_CONFIG_KEYS = {
-    "corpus_dir",
-    "master_seed",
-    "counts",
-    "tce_cells_per_sample",
-    "tcl_cells_per_sample",
-    "tr_format_weights",
-    "multiturn_fraction",
-    "style_mix",
-    "style_ranges_path",
-    "template_pool_path",
-    "qa_pairs_path",
-    "rasterizer_command",
-    "raster_dpi",
-}
 
 
 @dataclass
@@ -98,7 +89,7 @@ class PipelineConfig:
     def from_dict(cls, raw: object, base_dir: str | Path = ".") -> "PipelineConfig":
         if not isinstance(raw, dict):
             raise PipelineConfigError("config must be a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw).difference(_CONFIG_KEYS)
         if unknown:
             raise PipelineConfigError(f"unknown config keys: {sorted(unknown)}")
         if "corpus_dir" not in raw:
@@ -135,26 +126,11 @@ class PipelineConfig:
         return path if path.is_absolute() else self.base_dir / path
 
     def echo(self) -> dict:
-        """The config as fed in, for the manifest."""
-        out: dict = {"corpus_dir": self.corpus_dir, "master_seed": self.master_seed}
+        """The config as fed in, for the manifest: every key that is set."""
+        out = {key: getattr(self, key) for key in _CONFIG_KEYS}
         if self.counts is not None:
             out["counts"] = {k: list(v) for k, v in sorted(self.counts.items())}
-        out["tce_cells_per_sample"] = self.tce_cells_per_sample
-        out["tcl_cells_per_sample"] = self.tcl_cells_per_sample
-        for key in (
-            "tr_format_weights",
-            "style_mix",
-            "style_ranges_path",
-            "template_pool_path",
-            "qa_pairs_path",
-            "rasterizer_command",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        out["multiturn_fraction"] = self.multiturn_fraction
-        out["raster_dpi"] = self.raster_dpi
-        return out
+        return {key: value for key, value in out.items() if value is not None}
 
     def to_synth_config(self, seed_override: int | None = None) -> SynthConfig:
         kwargs: dict = {
@@ -209,6 +185,9 @@ class PipelineConfig:
         if not isinstance(raw, list) or not all(isinstance(p, dict) for p in raw):
             raise PipelineConfigError(f"{path} must hold a JSON list of objects")
         return raw
+
+
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig) if f.name != "base_dir")
 
 
 # ---------------------------------------------------------------------------
@@ -317,40 +296,18 @@ def _render_all(jobs: dict[str, RenderJob], workers: int) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _record_task_counts(records: Sequence[dict]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-
-    def bump(task: str, split: str) -> None:
-        key = f"{task}-{split}"
-        counts[key] = counts.get(key, 0) + 1
-
-    for record in records:
-        split = record.get("meta", {}).get("split", "train")
-        turns = record.get("turns")
-        if turns:
-            for turn in turns:
-                bump(turn["task"], split)
-        else:
-            bump(record["task"], split)
-    return dict(sorted(counts.items()))
+def _shares(names: Sequence[str]) -> dict[str, float]:
+    """Each distinct name's share of the list, by name."""
+    counts = Counter(names)
+    return {name: counts[name] / len(names) for name in sorted(counts)}
 
 
-def _tr_format_mix(records: Sequence[dict]) -> dict[str, float]:
-    names: list[str] = []
-    for record in records:
-        turns = record.get("turns")
-        if turns:
-            for turn in turns:
-                if turn["task"] == TaskKind.TR.value:
-                    names.append(sniff_format(str(turn["gold_answer"].get("answer", ""))).value)
-        elif record["task"] == TaskKind.TR.value:
-            fmt = record.get("meta", {}).get("tr_format")
-            names.append(fmt or sniff_format(str(record["gold_answer"].get("answer", ""))).value)
-    if not names:
-        return {}
-    return {
-        name: names.count(name) / len(names) for name in sorted(set(names))
-    }
+def _record_task_counts(answers: Sequence[_GoldRecord]) -> dict[str, int]:
+    return dict(sorted(Counter(f"{a.task.value}-{a.split}" for a in answers).items()))
+
+
+def _tr_format_mix(answers: Sequence[_GoldRecord]) -> dict[str, float]:
+    return _shares([a.tr_format for a in answers if a.task is TaskKind.TR])
 
 
 def _style_mix_achieved(records: Sequence[dict]) -> dict[str, float]:
@@ -359,12 +316,7 @@ def _style_mix_achieved(records: Sequence[dict]) -> dict[str, float]:
         family = record.get("meta", {}).get("style_family")
         if family:
             by_table.setdefault(record["table_id"], family)
-    if not by_table:
-        return {}
-    families = list(by_table.values())
-    return {
-        name: families.count(name) / len(families) for name in sorted(set(families))
-    }
+    return _shares(list(by_table.values()))
 
 
 def _sha256(data: bytes) -> str:
@@ -402,6 +354,7 @@ def cmd_synth(
         style_ranges=style_ranges,
     )
     records = [s.to_dict() for s in result.samples]
+    answers = _flatten_gold(records)
 
     images_dir = out / "images"
     # images from an earlier run into the same directory would outlive the
@@ -432,13 +385,13 @@ def cmd_synth(
         "config": config.echo(),
         "master_seed": synth_config.master_seed,
         "corpus": {"tables": len(corpus.tables), "skipped_files": corpus.skipped_count},
-        "counts": _record_task_counts(records),
+        "counts": _record_task_counts(answers),
         "conversations": result.conversations,
         "consumed_singles": result.consumed_singles,
         "shortfalls": dict(sorted(result.shortfalls.items())),
         "qa_pairs_skipped": result.qa_pairs_skipped,
         "style_mix_achieved": _style_mix_achieved(records),
-        "tr_format_mix_achieved": _tr_format_mix(records),
+        "tr_format_mix_achieved": _tr_format_mix(answers),
         "files": dict(sorted(digests.items())),
     }
     partial = out / "manifest.json.tmp"
@@ -474,33 +427,19 @@ def cmd_eval(
 # ---------------------------------------------------------------------------
 
 
-def _iter_requests_responses(record: dict):
-    turns = record.get("turns")
-    if turns:
-        for turn in turns:
-            yield str(turn.get("request", "")), str(turn.get("gold_response", ""))
-    else:
-        yield str(record.get("request", "")), str(record.get("gold_response", ""))
-
-
 def dataset_stats(samples_path: str | Path) -> dict:
     """Summary of a samples.jsonl file, from the records alone. The file is
     read as eval reads it: a line that is not a JSON object, or a record
     that eval could not score or whose meta the summary cannot read,
     raises FileFormatError naming the sample."""
     records = _read_jsonl(samples_path)
-    _flatten_gold(records)
-    request_lengths: list[int] = []
-    response_lengths: list[int] = []
+    answers = _flatten_gold(records)
     rows: list[int] = []
     cols: list[int] = []
     conversations = 0
     for record in records:
         if record.get("turns"):
             conversations += 1
-        for request, response in _iter_requests_responses(record):
-            request_lengths.append(len(request.split()))
-            response_lengths.append(len(response.split()))
         meta = record.get("meta", {})
         if not isinstance(meta, dict):
             raise FileFormatError(f"bad record {record['sample_id']}: meta is not an object")
@@ -513,6 +452,9 @@ def dataset_stats(samples_path: str | Path) -> dict:
             except (TypeError, ValueError) as exc:
                 raise FileFormatError(f"bad record {record['sample_id']}: table size {exc}")
 
+    def _tokens(key: str) -> list[int]:
+        return [len(str(a.source.get(key, "")).split()) for a in answers]
+
     def _avg(values: Sequence[int]) -> float:
         return sum(values) / len(values) if values else 0.0
 
@@ -524,11 +466,11 @@ def dataset_stats(samples_path: str | Path) -> dict:
     return {
         "samples": len(records),
         "conversations": conversations,
-        "per_task": _record_task_counts(records),
-        "request_tokens_avg": _avg(request_lengths),
-        "response_tokens_avg": _avg(response_lengths),
+        "per_task": _record_task_counts(answers),
+        "request_tokens_avg": _avg(_tokens("request")),
+        "response_tokens_avg": _avg(_tokens("gold_response")),
         "style_mix": _style_mix_achieved(records),
-        "tr_format_mix": _tr_format_mix(records),
+        "tr_format_mix": _tr_format_mix(answers),
         "table_rows": _dist(rows),
         "table_cols": _dist(cols),
     }

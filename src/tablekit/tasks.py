@@ -291,15 +291,7 @@ def compose_multiturn(
 
 
 def _default_counts() -> dict[TaskKind, tuple[int, int]]:
-    structure = (
-        TaskKind.TSD,
-        TaskKind.TCE,
-        TaskKind.TCL,
-        TaskKind.MCD,
-        TaskKind.RCE,
-        TaskKind.TR,
-    )
-    return {t: (80, 10) for t in structure}
+    return {t: (80, 10) for t in STRUCTURE_TASKS}
 
 
 @dataclass(frozen=True)

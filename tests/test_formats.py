@@ -16,6 +16,7 @@ from tablekit.formats import (
     convert,
     detect_format,
     parse,
+    parse_tolerant,
     serialize,
     sniff_format,
 )
@@ -376,6 +377,30 @@ def test_convert_flattens_nested_tables():
     html, diag = convert("<table><tr><td><table><tr><td>x</td></tr></table></td></tr></table>", HTML)
     assert html == "<table><tr><td>x</td></tr></table>"
     assert diag.recovered
+
+
+def test_block_tags_and_nested_cells_break_lines_in_a_cell():
+    nested = "<table><tr><td><table><tr><td>alpha</td><td>beta</td></tr></table></td></tr></table>"
+    assert convert(nested, HTML)[0] == "<table><tr><td>alpha\nbeta</td></tr></table>"
+    assert convert("<table><tr><td>one<p>two</p>three</td></tr></table>", HTML)[0] == (
+        "<table><tr><td>one\ntwo\nthree</td></tr></table>"
+    )
+    cases = {
+        # no leading, trailing or doubled break, whatever the whitespace
+        "<p>one</p>": "one",
+        "<div><p>one</p></div> <ul><li>two</li><li>three</li></ul>": "one\ntwo\nthree",
+        "one <hr> two": "one\ntwo",
+        "<h2>one</h2>\n  <pre>two</pre><blockquote></blockquote><ol><li></li></ol>": "one\ntwo",
+        "one<br><p>two</p>": "one\ntwo",
+        # <br> and inline tags as before
+        "one<br><br>two<b>three</b>": "one\n\ntwothree",
+    }
+    for inner, want in cases.items():
+        html = f"<table><tr><td>{inner}</td><td>x</td></tr></table>"
+        for read in (parse, parse_tolerant):
+            assert [a.content for a in read(html, HTML)[0].anchors] == [want, "x"], inner
+    pretty = "<table><tr><td>\n <table>\n  <tr><td>a</td> <td>b</td></tr>\n  <tr><th>c</th></tr>\n </table>\n</td></tr></table>"
+    assert [a.content for a in parse_tolerant(pretty, HTML)[0].anchors] == ["a\nb\nc"]
 
 
 def test_convert_caps_absurd_spans():

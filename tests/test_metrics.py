@@ -128,7 +128,7 @@ def test_tree_nested_table_flattened_into_its_cell():
     html = "<table><tr><td>x<table><tr><td>inner</td></tr></table></td></tr></table>"
     tree = html_to_tree(html)
     assert tree_size(tree) == 3
-    assert tree.children[0].children[0].content == "xinner"
+    assert tree.children[0].children[0].content == "x inner"
     assert tree == html_to_tree(convert(html, TableFormat.HTML)[0])
 
 

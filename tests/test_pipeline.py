@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -346,6 +347,60 @@ def test_dataset_stats_matches_manifest(tmp_path):
     )
     assert stats["request_tokens_avg"] > 0
     assert stats["table_rows"]["min"] >= 1
+
+
+def test_eval_stats_and_manifest_count_the_same_answers(tmp_path):
+    _make_corpus(tmp_path)
+    counts = {name: [8, 2] for name in SIX_TASKS}
+    counts["tr"] = [36, 4]
+    weights = {"html": 0.4, "markdown": 0.3, "latex": 0.3}
+    config = PipelineConfig.from_file(
+        _write_config(tmp_path, counts, tr_format_weights=weights, multiturn_fraction=0.5)
+    )
+    out = tmp_path / "out"
+    manifest = cmd_synth(config, out)
+    stats = dataset_stats(out / "samples.jsonl")
+    records = [json.loads(line) for line in (out / "samples.jsonl").read_text().splitlines()]
+    predictions = tmp_path / "replay.jsonl"
+    predictions.write_text("".join(
+        json.dumps({"sample_id": r["sample_id"], "responses": [t["gold_response"] for t in r["turns"]]})
+        + "\n" if r.get("turns") else
+        json.dumps({"sample_id": r["sample_id"], "response": r["gold_response"]}) + "\n"
+        for r in records
+    ), encoding="utf-8")
+    report = cmd_eval(predictions, out / "samples.jsonl")
+
+    assert manifest["counts"] == stats["per_task"]
+    for task in SIX_TASKS:
+        n = sum(v for k, v in stats["per_task"].items() if k.rsplit("-", 1)[0] == task)
+        assert report.per_task[task]["n"] == n
+    tr_scored = [r for r in report.per_sample if r["task"] == "tr"]
+    assert {
+        fmt: sum(r["format"] == fmt for r in tr_scored) / len(tr_scored)
+        for fmt in sorted({r["format"] for r in tr_scored})
+    } == stats["tr_format_mix"] == manifest["tr_format_mix_achieved"]
+    assert len(stats["tr_format_mix"]) == 3
+
+    # each turn was a single sample before it joined a conversation; that
+    # single's meta records the format its gold answer is written in
+    singles = tasks.synthesize(
+        load_corpus(tmp_path / "corpus").tables,
+        dataclasses.replace(config.to_synth_config(), multiturn_fraction=0.0),
+    ).samples
+    written_in = {s.sample_id: s.meta["tr_format"] for s in singles}
+    by_id = {r["sample_id"]: r for r in report.per_sample}
+    turn_formats = []
+    for record in records:
+        for i, turn in enumerate(record["turns"] or [], start=1):
+            if turn["task"] == "tr":
+                scored = by_id[f"{record['sample_id']}#turn{i}"]
+                assert scored["format"] == written_in[turn["source_sample_id"]]
+                assert scored["teds"] == 1.0
+                turn_formats.append((record["sample_id"], scored["format"]))
+    # some conversation mixes formats, so no turn could borrow the record's
+    assert any(
+        len({fmt for sid, fmt in turn_formats if sid == conv}) > 1 for conv, _ in turn_formats
+    )
 
 
 def test_dataset_stats_reads_cells_with_unicode_line_breaks_as_eval_does(tmp_path):
