@@ -155,7 +155,13 @@ def assemble(
                     occupied[(rr, cc)] = anchor
             c += col_span
 
-    n_cols = max(c for _, c in occupied) if occupied else 1
+    # the rightmost covered column of each row; padding only adds positions
+    # left of the ones still to be checked, so it never moves this mark
+    last_covered = [0] * (n_rows + 1)
+    for r, c in occupied:
+        if c > last_covered[r]:
+            last_covered[r] = c
+    n_cols = max(last_covered) or 1
     # pad uncovered positions: trailing runs are ordinary raggedness, interior
     # holes are a structural fault in strict mode
     padded = False
@@ -163,8 +169,7 @@ def assemble(
         for c in range(1, n_cols + 1):
             if (r, c) in occupied:
                 continue
-            interior = any((r, cc) in occupied for cc in range(c + 1, n_cols + 1))
-            if interior and not tolerant:
+            if c < last_covered[r] and not tolerant:
                 raise ParseError(f"row {r}", f"gap at column {c} cannot be padded")
             anchor = AnchorCell(r, c)
             anchors.append(anchor)

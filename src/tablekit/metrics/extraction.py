@@ -120,6 +120,23 @@ def _closing_braces(text: str) -> dict[int, int]:
 
 
 def _last_json_object(text: str) -> dict | None:
+    """The last balanced top-level span of text that parses as a JSON
+    object, or None.
+
+    A response that is one JSON object, and nothing else but whitespace, is
+    parsed directly, without the brace scan. That gives the same object:
+    valid JSON has backslashes only inside strings, so the string-aware
+    scan from the first '{' closes at the last '}', and the stripped text
+    is the only top-level span, the one the scan below would parse.
+    """
+    whole = text.strip()
+    if whole.startswith("{") and whole.endswith("}"):
+        try:
+            value = json.loads(whole)
+        except (json.JSONDecodeError, RecursionError):
+            value = None
+        if isinstance(value, dict):
+            return value
     closing = _closing_braces(text)
     spans: list[tuple[int, int]] = []
     i = text.find("{")
@@ -140,20 +157,42 @@ def _last_json_object(text: str) -> dict | None:
     return None
 
 
-_TSD_ROW = re.compile(r"rows?[\s_-]*(?:number|count)?\s*(?:is|was|[:=])?\s*(\d+)", re.I)
-_TSD_COL = re.compile(r"col(?:umn)?s?[\s_-]*(?:number|count)?\s*(?:is|was|[:=])?\s*(\d+)", re.I)
-_TSD_ROW_REV = re.compile(r"(\d+)\s+rows?\b", re.I)
-_TSD_COL_REV = re.compile(r"(\d+)\s+col(?:umn)?s?\b", re.I)
+# Each run of characters in these patterns is owned by one quantifier, so a
+# failed match backtracks over a run once and a search is linear in the text:
+# the optional words and brackets own the space that follows them, a reversed
+# `tsd` form starts only at the first digit of a run (any match from inside a
+# run also exists from its first digit, which a search reaches first), and an
+# answer or a `tce` value runs to its last non-space character before the line
+# ends (or a `;`, for `tce`). tests/oracles.py holds the equivalent patterns
+# whose runs overlap, and tests compare the two.
+_TSD_ROW = re.compile(
+    r"rows?[\s_-]*(?:(?:number|count)\s*)?(?:(?:is|was|[:=])\s*)?(\d+)", re.I
+)
+_TSD_COL = re.compile(
+    r"col(?:umn)?s?[\s_-]*(?:(?:number|count)\s*)?(?:(?:is|was|[:=])\s*)?(\d+)", re.I
+)
+_TSD_ROW_REV = re.compile(r"(?<!\d)(\d+)\s+rows?\b", re.I)
+_TSD_COL_REV = re.compile(r"(?<!\d)(\d+)\s+col(?:umn)?s?\b", re.I)
 
 _MCD_FLAG = re.compile(r"\b(yes|no|true|false)\b", re.I)
 _MCD_REGION = re.compile(
-    r"[(\[]\s*[(\[]?\s*(\d+)\s*,\s*(\d+)\s*[)\]]?\s*,\s*[(\[]?\s*(\d+)\s*,\s*(\d+)\s*[)\]]?\s*[)\]]"
+    r"[(\[]\s*(?:[(\[]\s*)?(\d+)\s*,\s*(\d+)\s*(?:[)\]]\s*)?,"
+    r"\s*(?:[(\[]\s*)?(\d+)\s*,\s*(\d+)\s*(?:[)\]]\s*)?[)\]]"
 )
 
-_QA_ANSWER = re.compile(r"answer\s*(?:is|[:=])\s*(.+?)\s*$", re.I | re.M)
+# when only space follows the marker, up to the end of the text, the answer is
+# the last of it that is not a newline (and strips to "")
+_QA_ANSWER = re.compile(
+    r"answer\s*(?:is|[:=])\s*(\S(?:[^\n]*\S)?|[^\S\n])\s*$", re.I | re.M
+)
 
+# a value that ends in a quote before the space and the `;` or line end loses
+# that one quote (the first alternative); otherwise it ends at its last
+# non-space character
 _TCE_PAIR = re.compile(
-    r"[(\[]\s*(\d+)\s*,\s*(\d+)\s*[)\]]\s*(?:->|[:=])\s*['\"]?(.*?)['\"]?\s*(?=[\n;]|$)", re.M
+    r"[(\[]\s*(\d+)\s*,\s*(\d+)\s*[)\]]\s*(?:->|[:=])\s*['\"]?"
+    r"([^\n;]*(?=['\"][^\S\n]*(?:[\n;]|$))|(?:[^\n;]*[^\s;])?)['\"]?\s*(?=[\n;]|$)",
+    re.M,
 )
 _TCL_PAIR = re.compile(
     r"['\"]([^'\"\n]+)['\"]\s*(?:->|[:=]|\bis at\b|\bat\b)\s*[(\[]\s*(\d+)\s*,\s*(\d+)\s*[)\]]",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from itertools import combinations
 
 # ---------------------------------------------------------------------------
@@ -436,6 +437,25 @@ def _last_json_object(text: str) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
+# extraction fallbacks: the package's former patterns, whose whitespace and
+# digit runs could each be split between several quantifiers (polynomial
+# backtracking on a failed match), kept as the reference for the linear ones
+# ---------------------------------------------------------------------------
+
+TSD_ROW = re.compile(r"rows?[\s_-]*(?:number|count)?\s*(?:is|was|[:=])?\s*(\d+)", re.I)
+TSD_COL = re.compile(r"col(?:umn)?s?[\s_-]*(?:number|count)?\s*(?:is|was|[:=])?\s*(\d+)", re.I)
+TSD_ROW_REV = re.compile(r"(\d+)\s+rows?\b", re.I)
+TSD_COL_REV = re.compile(r"(\d+)\s+col(?:umn)?s?\b", re.I)
+QA_ANSWER = re.compile(r"answer\s*(?:is|[:=])\s*(.+?)\s*$", re.I | re.M)
+MCD_REGION = re.compile(
+    r"[(\[]\s*[(\[]?\s*(\d+)\s*,\s*(\d+)\s*[)\]]?\s*,\s*[(\[]?\s*(\d+)\s*,\s*(\d+)\s*[)\]]?\s*[)\]]"
+)
+TCE_PAIR = re.compile(
+    r"[(\[]\s*(\d+)\s*,\s*(\d+)\s*[)\]]\s*(?:->|[:=])\s*['\"]?(.*?)['\"]?\s*(?=[\n;]|$)", re.M
+)
+
+
+# ---------------------------------------------------------------------------
 # tree edit distance: the package's former full-width Zhang-Shasha DP, every
 # keyroot pair over the whole |T1| x |T2| table, kept as the reference for the
 # banded DP; it reads the package's TreeNode and rename cost (the cost model,
@@ -726,3 +746,99 @@ def wrap_text(text: str, font_family: str, font_size_pt: int | float, max_width:
                 line = candidate
         lines.append(line)
     return lines
+
+
+# ---------------------------------------------------------------------------
+# grid placement: the package's former assemble, which decides whether an
+# uncovered position is an interior gap by scanning the rest of its row
+# (O(rows x cols^2) padding), kept as the reference for the one-mark-per-row
+# padding; it reads the package's types, limits and free-column search
+# ---------------------------------------------------------------------------
+
+from tablekit.core import AnchorCell, Table  # noqa: E402
+from tablekit.formats.common import (  # noqa: E402
+    MAX_COLS,
+    MAX_ROWS,
+    MAX_SPAN,
+    ParseError,
+    RowBuffer,
+    _free_column,
+)
+
+
+def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -> Table | None:
+    rows = buffer.rows
+    warn = buffer.warnings
+    if tolerant and len(rows) > MAX_ROWS:
+        warn.append(f"table truncated to {MAX_ROWS} rows")
+        rows = rows[:MAX_ROWS]
+    n_rows = len(rows)
+    if n_rows == 0:
+        if tolerant:
+            return None
+        raise ParseError("table", "no rows found")
+
+    occupied: dict[tuple[int, int], AnchorCell] = {}
+    anchors: list[AnchorCell] = []
+
+    for r0, row in enumerate(rows):
+        r = r0 + 1
+        c = 1
+        for cell in row:
+            row_span = cell.row_span
+            col_span = cell.col_span
+            if tolerant:
+                row_span = max(1, min(row_span, MAX_SPAN))
+                col_span = max(1, min(col_span, MAX_SPAN))
+            elif row_span < 1 or col_span < 1:
+                raise ParseError(f"row {r}", f"span must be >= 1 at column {c}")
+
+            if skip_occupied:
+                while (r, c) in occupied:
+                    c += 1
+            elif (r, c) in occupied:
+                if cell.content == "" and row_span == 1:
+                    c += col_span
+                    continue
+                if not tolerant:
+                    raise ParseError(f"row {r}", f"overlapping span at column {c}")
+
+            if row_span > n_rows - r + 1:
+                if tolerant:
+                    row_span = n_rows - r + 1
+                else:
+                    raise ParseError(f"row {r}", f"row span runs past the last row at column {c}")
+            if tolerant:
+                c = _free_column(occupied, r, c, row_span, col_span)
+            elif col_span > 1 and any((r, cc) in occupied for cc in range(c + 1, c + col_span)):
+                raise ParseError(f"row {r}", f"overlapping span at column {c}")
+            if tolerant and c + col_span - 1 > MAX_COLS:
+                col_span = max(1, MAX_COLS - c + 1)
+                if c > MAX_COLS:
+                    warn.append(f"cells beyond column {MAX_COLS} dropped")
+                    break
+            anchor = AnchorCell(r, c, row_span, col_span, cell.content, cell.is_header)
+            anchors.append(anchor)
+            for rr in range(r, r + row_span):
+                for cc in range(c, c + col_span):
+                    occupied[(rr, cc)] = anchor
+            c += col_span
+
+    n_cols = max(c for _, c in occupied) if occupied else 1
+    padded = False
+    for r in range(1, n_rows + 1):
+        for c in range(1, n_cols + 1):
+            if (r, c) in occupied:
+                continue
+            interior = any((r, cc) in occupied for cc in range(c + 1, n_cols + 1))
+            if interior and not tolerant:
+                raise ParseError(f"row {r}", f"gap at column {c} cannot be padded")
+            anchor = AnchorCell(r, c)
+            anchors.append(anchor)
+            occupied[(r, c)] = anchor
+            padded = True
+    if padded:
+        warn.append("ragged rows padded with empty cells")
+
+    anchors.sort(key=lambda a: (a.row, a.col))
+    return Table(n_rows=n_rows, n_cols=n_cols, anchors=tuple(anchors), caption=buffer.caption)

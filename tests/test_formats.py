@@ -20,10 +20,13 @@ from tablekit.formats import (
     serialize,
     sniff_format,
 )
+from tablekit.formats.common import MAX_COLS, MAX_ROWS, RawCell, RowBuffer, assemble
 from tablekit.metrics.evaluate import score_sample
 from tablekit.taskdefs import TaskKind
 
+import oracles
 from oracles import random_table_dict
+from scaling import growth_ratio
 
 HTML, MD, TEX = TableFormat.HTML, TableFormat.MARKDOWN, TableFormat.LATEX
 
@@ -401,6 +404,58 @@ def test_block_tags_and_nested_cells_break_lines_in_a_cell():
             assert [a.content for a in read(html, HTML)[0].anchors] == [want, "x"], inner
     pretty = "<table><tr><td>\n <table>\n  <tr><td>a</td> <td>b</td></tr>\n  <tr><th>c</th></tr>\n </table>\n</td></tr></table>"
     assert [a.content for a in parse_tolerant(pretty, HTML)[0].anchors] == ["a\nb\nc"]
+
+
+def _assembled(place, buffer: RowBuffer, tolerant: bool, skip_occupied: bool):
+    """The placed table, or the ParseError message, with the warnings."""
+    buffer = RowBuffer(buffer.rows, buffer.caption)  # a fresh warnings list
+    try:
+        result = place(buffer, tolerant=tolerant, skip_occupied=skip_occupied)
+    except ParseError as exc:
+        result = str(exc)
+    return result, buffer.warnings
+
+
+def _random_row_buffer(rng: random.Random) -> RowBuffer:
+    def span() -> int:
+        return rng.choice([1] * 12 + [2, 2, 2, 3, 3, 4] + [0, -1] * (rng.random() < 0.1))
+
+    rows = [
+        [RawCell(rng.choice(["", "", "x", "y"]), span(), span(), rng.random() < 0.2) for _ in range(rng.randint(0, 4))]
+        for _ in range(rng.choice([0, 1, 2, 3, 3, 4, 4, 5, 5, 6]))
+    ]
+    return RowBuffer(rows, rng.choice([None, "cap"]))
+
+
+def test_assemble_matches_reference_on_random_row_buffers():
+    rng = random.Random(1212)
+    buffers = [_random_row_buffer(rng) for _ in range(2000)]
+    # the size limits: a span past the last column, cells dropped beyond it,
+    # rows beyond the last, and rows that spans from above push right
+    buffers += [
+        RowBuffer([[RawCell("a", 1, MAX_COLS + 88)], [RawCell("b")]]),
+        RowBuffer([[RawCell("a", 1, MAX_COLS - 2), RawCell("b", 1, 5), RawCell("c")], [], [RawCell("d", 1200, 1200)]]),
+        RowBuffer([[RawCell(str(i))] for i in range(MAX_ROWS + 1)]),
+        RowBuffer([[RawCell("x", 500)] for _ in range(30)]),
+    ]
+    for buffer in buffers:
+        for tolerant in (False, True):
+            for skip_occupied in (False, True):
+                got = _assembled(assemble, buffer, tolerant, skip_occupied)
+                want = _assembled(oracles.assemble, buffer, tolerant, skip_occupied)
+                assert got == want, (buffer, tolerant, skip_occupied)
+
+
+@pytest.mark.parametrize("tolerant", [False, True], ids=["strict", "tolerant"])
+def test_assemble_padding_grows_linearly_with_row_length(tolerant):
+    # one full row and 40 rows of one cell: each short row is padded across
+    # the whole width, which took time quadratic in the width when every gap
+    # rescanned the rest of its row
+    def make(n_cols: int) -> RowBuffer:
+        return RowBuffer([[RawCell("x")] * n_cols] + [[RawCell("y")] for _ in range(40)])
+
+    ratio = growth_ratio(lambda buffer: assemble(buffer, tolerant=tolerant), make, 120)
+    assert ratio < 9, ratio
 
 
 def test_convert_caps_absurd_spans():

@@ -47,6 +47,7 @@ from tablekit.taskdefs import TaskKind
 from tablekit.tasks import SynthConfig, synthesize
 
 import oracles
+from scaling import growth_ratio
 
 
 def node_from_tuple(t: tuple) -> TreeNode:
@@ -736,6 +737,113 @@ def test_extract_matches_reference_on_random_brace_strings(monkeypatch):
     want = [extract_json_answer(text, task) for text, task in cases]
     for (text, _), g, w in zip(cases, got, want):
         assert (g.status, g.payload) == (w.status, w.payload), text
+
+
+_DEEP = '{"a":' * 30000 + "1" + "}" * 30000
+
+
+def test_whole_object_fast_path_matches_reference(monkeypatch):
+    bodies = [
+        '{"a": 1}',
+        "{}",
+        '{"cells": [{"position": [1, 2], "value": {"v": {}}}], "n": {"m": 1}}',
+        '{"note": "braces } inside { strings", "q": "a \\"}{\\" b", "e": "\\\\"}',
+        '{"x": NaN, "y": Infinity, "z": -Infinity}',
+        '{"a": 1} {"b": 2}',
+        '{"a": 1}\n{"b": 2}',
+        '{"a": 1}, {"b": [}',
+        '{"a":\xa01}',
+        '{"a": 1}}',
+        '{{"a": 1}',
+        "[1, 2]",
+        '[{"a": 1}]',
+        "7",
+        '"{}"',
+        "null",
+        'Sure: {"a": 1}',
+        '{"a": 1} hope this helps',
+        'The table has 3 rows and 4 columns {"row_number": 3}',
+    ]
+    spaces = ["", " ", "\t", "\r\n", "\x85", "\xa0", "\x1c", " \n\t\xa0"]
+    tasks = [None, TaskKind.TSD, TaskKind.QA_WRAP, TaskKind.TR]
+    cases = [(space + body + space[::-1], task) for body in bodies for space in spaces for task in tasks]
+    with pytest.raises(RecursionError):
+        json.loads(_DEEP)
+    for body in (_DEEP, _DEEP + ' {"ok": 1}', '{"ok": 1} ' + _DEEP):
+        cases += [(body, None), ("\r\n" + body + " ", TaskKind.TSD)]
+    got = [extract_json_answer(text, task) for text, task in cases]
+    monkeypatch.setattr(extraction, "_last_json_object", oracles._last_json_object)
+    want = [extract_json_answer(text, task) for text, task in cases]
+    for (text, task), g, w in zip(cases, got, want):
+        # repr, since NaN is unequal to itself
+        assert (g.status, repr(g.payload)) == (w.status, repr(w.payload)), (text[:80], task)
+
+
+def test_whole_object_response_skips_the_brace_scan(monkeypatch):
+    scanned = []
+    scan = extraction._closing_braces
+
+    def counting_scan(text):
+        scanned.append(text)
+        return scan(text)
+
+    monkeypatch.setattr(extraction, "_closing_braces", counting_scan)
+    assert extract_json_answer(' {"row_number": 2}\n', TaskKind.TSD).payload == {"row_number": 2}
+    assert scanned == []
+    assert extract_json_answer('Sure: {"row_number": 2}', TaskKind.TSD).payload == {"row_number": 2}
+    assert extract_json_answer('{"a": 1} {"b": 2}').payload == {"b": 2}
+    assert len(scanned) == 2
+
+
+_WORD_PATTERNS = [
+    (extraction._TSD_ROW, oracles.TSD_ROW),
+    (extraction._TSD_COL, oracles.TSD_COL),
+    (extraction._TSD_ROW_REV, oracles.TSD_ROW_REV),
+    (extraction._TSD_COL_REV, oracles.TSD_COL_REV),
+    (extraction._QA_ANSWER, oracles.QA_ANSWER),
+]
+_WORD_PIECES = [
+    "rows", "row", "Row", "columns", "COL", "column", "s", "number", "count", "answer", "Answer",
+    "is", "was", ":", "=", "_", "-", "x", "0", "7", "42", " ", " ", "\t", "\r", "\x85", "\n", "\n",
+]  # fmt: skip
+_BRACKET_PATTERNS = [
+    (extraction._MCD_REGION, oracles.MCD_REGION),
+    (extraction._TCE_PAIR, oracles.TCE_PAIR),
+]
+_BRACKET_PIECES = [
+    "((1, 2), (3, 4))", "[(1,1),", "(2,2)]", "(1, 2): 'a'", '(1,2) -> "b" ', "(5 , 6 )", "[3,4]",
+    "(", "[", ")", "]", ",", ":", "=", "->", ";", "'", '"', "1", "23", "x", "a b",
+    " ", "  ", "\t", "\r", "\x85", "\n",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "patterns, pieces", [(_WORD_PATTERNS, _WORD_PIECES), (_BRACKET_PATTERNS, _BRACKET_PIECES)], ids=["words", "brackets"]
+)
+def test_fallback_patterns_match_the_former_ones_on_random_strings(patterns, pieces):
+    rng = random.Random(1213)
+    for _ in range(20000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 12)))
+        for new, old in patterns:
+            got = [(m.span(), m.groups()) for m in new.finditer(text)]
+            assert got == [(m.span(), m.groups()) for m in old.finditer(text)], (old.pattern, text)
+
+
+@pytest.mark.parametrize(
+    "task, make, n",
+    [
+        (TaskKind.TSD, lambda n: "rows" + " " * n + "x", 1000),
+        (TaskKind.TSD, lambda n: "columns" + " " * n + "x", 1000),
+        (TaskKind.TSD, lambda n: "1" * n + " x", 4000),
+        (TaskKind.QA_WRAP, lambda n: "answer is a" + " " * n + "b", 4000),
+        (TaskKind.TCE, lambda n: "(1, 2): a" + " " * n + "b", 2000),
+        (TaskKind.MCD, lambda n: "((" + " " * n + "x", 2000),
+    ],
+    ids=["rows-spaces", "columns-spaces", "digits", "answer-spaces", "value-spaces", "region-spaces"],
+)
+def test_extraction_fallbacks_grow_linearly(task, make, n):
+    ratio = growth_ratio(lambda text: extract_json_answer(text, task), make, n)
+    assert ratio < 9, ratio
 
 
 @pytest.mark.parametrize(
