@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ..formats import parse_tolerant, sniff_format
 from ..formats.common import TableFormat
+from ..numeric import left_sum
 from ..taskdefs import TaskKind
 from .bleu import bleu
 from .extraction import ExtractionResult, ExtractionStatus, extract_json_answer
@@ -154,7 +155,7 @@ def score_rce(payload: object, gold: Mapping) -> float:
         gold_set = _line_set(cells)
         pred_set = _line_set(pred_lines.get(str(key)))
         scores.append(score_set_f1(pred_set, gold_set)[2])
-    return sum(scores) / len(scores)
+    return _mean(scores)
 
 
 def score_tr(pred_text: object, pred_fmt: TableFormat, gold_html: str) -> float:
@@ -445,7 +446,7 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
 
 
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    return left_sum(values) / len(values) if values else 0.0
 
 
 def aggregate(per_sample: Sequence[dict]) -> dict[str, dict[str, float]]:

@@ -29,6 +29,7 @@ from .metrics.evaluate import (
     MetricReport,
     _flatten_gold,
     _GoldRecord,
+    _mean,
     _read_jsonl,
     evaluate,
 )
@@ -455,20 +456,15 @@ def dataset_stats(samples_path: str | Path) -> dict:
     def _tokens(key: str) -> list[int]:
         return [len(str(a.source.get(key, "")).split()) for a in answers]
 
-    def _avg(values: Sequence[int]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
     def _dist(values: Sequence[int]) -> dict:
-        if not values:
-            return {"min": 0, "max": 0, "mean": 0.0}
-        return {"min": min(values), "max": max(values), "mean": _avg(values)}
+        return {"min": min(values, default=0), "max": max(values, default=0), "mean": _mean(values)}
 
     return {
         "samples": len(records),
         "conversations": conversations,
         "per_task": _record_task_counts(answers),
-        "request_tokens_avg": _avg(_tokens("request")),
-        "response_tokens_avg": _avg(_tokens("gold_response")),
+        "request_tokens_avg": _mean(_tokens("request")),
+        "response_tokens_avg": _mean(_tokens("gold_response")),
         "style_mix": _style_mix_achieved(records),
         "tr_format_mix": _tr_format_mix(answers),
         "table_rows": _dist(rows),

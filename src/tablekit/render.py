@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
 from .core import AnchorCell, Table, expand_grid
+from .numeric import left_sum
 from .textmetrics import line_height, text_width, wrap_text
 
 MIN_COL_WIDTH = 24
@@ -65,7 +66,7 @@ class StyleMix:
     weights: Mapping[StyleFamily, float]
 
     def __post_init__(self) -> None:
-        total = sum(self.weights.values())
+        total = left_sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mix weights must sum to 1, got {total}")
         if any(w < 0 for w in self.weights.values()):

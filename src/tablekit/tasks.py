@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import Table, expand_grid, merged_regions
 from .formats import serialize
 from .formats.common import TableFormat
+from .numeric import left_sum
 from .render import DEFAULT_STYLE_MIX, StyleMix, StyleSpec, sample_style
 from .taskdefs import TaskKind
 from .templates import TemplatePool, build_request, default_pool
@@ -217,7 +218,7 @@ def _draw_format(
         # pipe tables cannot express spans; redraw over the other formats
         fmts = [f for f in fmts if f is not TableFormat.MARKDOWN]
         ws = [float(weights.get(f, 0.0)) for f in fmts]
-        if sum(ws) <= 0.0:
+        if left_sum(ws) <= 0.0:
             return TableFormat.HTML
         fmt = rng.choices(fmts, weights=ws)[0]
     return fmt
@@ -309,7 +310,7 @@ class SynthConfig:
         for task, (train_n, eval_n) in self.counts.items():
             if train_n < 0 or eval_n < 0:
                 raise ValueError(f"counts for {task.value} must be >= 0")
-        total = sum(self.tr_format_weights.values())
+        total = left_sum(self.tr_format_weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"tr_format_weights must sum to 1, got {total}")
         if not 0.0 <= self.multiturn_fraction <= 1.0:

@@ -1,14 +1,16 @@
 """Estimated text geometry from bundled average-advance tables.
 
-No real shaping: widths are per-character advances for a generic
-proportional face (scaled per family) or a flat monospace advance,
-which keeps layout deterministic and dependency-free.
+No real shaping: a width is the left-to-right sum of per-character
+advances for a generic proportional face (scaled per family) or a flat
+monospace advance, which keeps layout deterministic and dependency-free.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+
+from .numeric import left_sum
 
 # per-mille-of-em advances for ASCII 32..126, generic proportional face
 _PROPORTIONAL = {
@@ -84,17 +86,7 @@ def char_advance(ch: str, font_family: str, font_size_pt: int | float) -> float:
 def text_width(text: str, font_family: str, font_size_pt: int | float) -> float:
     """Width of the widest line of the text, unwrapped."""
     advance = _advances(font_family, font_size_pt).__getitem__
-    best = 0.0
-    for part in text.split("\n"):
-        best = max(best, sum(map(advance, part)))
-    return best
-
-
-# A running line width adds one advance at a time, which is what sum() does up
-# to Python 3.11. From 3.12 sum() compensates its rounding, so the two can
-# differ by a few rounding errors per advance; a candidate line whose running
-# width is that close to the limit is measured again with sum() itself.
-_NEAR_LIMIT = 1e-15  # relative difference allowed per advance, about 9 roundings
+    return max(left_sum(map(advance, part)) for part in text.split("\n"))
 
 
 def _break_long_word(
@@ -122,23 +114,20 @@ def wrap_text(text: str, font_family: str, font_size_pt: int | float, max_width:
     lines: list[str] = []
     for paragraph in text.split("\n"):
         line = ""
-        line_width = 0.0  # sum of the advances of line, in order
+        line_width = 0.0  # text_width(line): its advances summed left to right
         for word in paragraph.split(" "):
             advances = list(map(advance, word))
-            if word and sum(advances) > max_width:
+            if word and left_sum(advances) > max_width:
                 pieces = _break_long_word(word, advances, max_width)
             else:
                 pieces = [(word, advances)]
             for piece, piece_advances in pieces:
                 if line:
-                    width = sum(piece_advances, line_width + space)
-                    n = len(line) + 1 + len(piece)
-                    if abs(width - max_width) <= _NEAR_LIMIT * (n + 8) * width:
-                        width = sum(map(advance, line + " " + piece))
+                    width = left_sum(piece_advances, line_width + space)
                     if width <= max_width:
                         line, line_width = line + " " + piece, width
                         continue
                     lines.append(line)
-                line, line_width = piece, sum(piece_advances)
+                line, line_width = piece, left_sum(piece_advances)
         lines.append(line)
     return lines

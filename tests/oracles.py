@@ -675,8 +675,9 @@ def html_to_tree(html: str) -> TreeNode:
 
 # ---------------------------------------------------------------------------
 # text metrics: the package's former per-character routines, which look up
-# and scale one advance per call and re-measure every candidate line; kept as
-# the reference for the per-(font, size) advance tables and running widths
+# and scale one advance per call and re-measure every candidate line, adding
+# its advances left to right in a written-out loop; kept as the reference for
+# the per-(font, size) advance tables and running widths
 # ---------------------------------------------------------------------------
 
 from tablekit.textmetrics import (  # noqa: E402  (the advance data, not the algorithms)
@@ -704,7 +705,9 @@ def text_width(text: str, font_family: str, font_size_pt: int | float) -> float:
     """Width of the widest line of the text, unwrapped."""
     best = 0.0
     for part in text.split("\n"):
-        w = sum(char_advance(ch, font_family, font_size_pt) for ch in part)
+        w = 0.0
+        for ch in part:  # left to right, one rounding per advance
+            w += char_advance(ch, font_family, font_size_pt)
         best = max(best, w)
     return best
 
