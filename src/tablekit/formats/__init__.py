@@ -95,13 +95,15 @@ def serialize(table: Table, fmt: TableFormat) -> str:
 
 def parse_tolerant(src: str, fmt: TableFormat) -> tuple[Table | None, list[str]]:
     """Tolerant parse: the valid table recovered from possibly messy input,
-    or None, with the parser's warnings. Never raises on string input."""
+    or None, with the parser's warnings. Never raises on string input. The
+    one place a failed tolerant parse (a ParseError too) becomes None; the
+    warnings then give the reason."""
     try:
         table, warnings = _PARSERS[fmt](src, tolerant=True)
         if table is not None:
             expand_grid(table)  # raises InvalidTable if the repair left no tiling
-    except (RecursionError, ValueError):
-        return None, ["tolerant parse failed"]
+    except (RecursionError, ValueError) as exc:
+        return None, [f"tolerant parse failed: {exc}"]
     return table, warnings
 
 

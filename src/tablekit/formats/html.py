@@ -9,7 +9,6 @@ from html.parser import HTMLParser
 
 from ..core import Table, expand_grid
 from .common import (
-    MAX_SPAN,
     ParseError,
     RawCell,
     RowBuffer,
@@ -60,7 +59,7 @@ class _TableHTMLParser(HTMLParser):
                     if self.tolerant:
                         return 1
                     raise ParseError(self._loc(), f"{name} must be >= 1, got {span}")
-                return min(span, MAX_SPAN) if self.tolerant else span
+                return span
         return 1
 
     def _close_cell(self) -> None:
@@ -189,18 +188,14 @@ def parse_html(src: str, *, tolerant: bool = False) -> tuple[Table | None, list[
     except ParseError:
         raise
     except Exception as exc:  # html.parser internals on hostile input
-        if not tolerant:
-            raise ParseError("input", f"unparseable HTML: {exc}")
-        return None, parser.buffer.warnings + [f"unparseable HTML: {exc}"]
+        raise ParseError("input", f"unparseable HTML: {exc}")
     if parser.table_depth > 0:
         if not tolerant:
             raise ParseError("input", "unclosed <table>")
         parser._close_row()
         parser.buffer.warnings.append("unclosed <table>")
     elif not parser.finished_table:
-        if not tolerant:
-            raise ParseError("input", "no <table> found")
-        return None, parser.buffer.warnings
+        raise ParseError("input", "no <table> found")
     caption = "".join(parser.caption_parts).strip()
     parser.buffer.caption = caption if caption else None
     table = assemble(parser.buffer, tolerant=tolerant, skip_occupied=True)

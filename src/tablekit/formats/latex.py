@@ -18,19 +18,8 @@ _ROW_SPLIT = re.compile(r"\\\\(?:\s*" + _LENGTH + ")?")
 _LEADING_LENGTH = re.compile(r"\s*" + _LENGTH)
 _MULTICOLUMN = re.compile(r"\\multicolumn\s*")
 _MULTIROW = re.compile(r"\\multirow\s*")
-
-
-def _strip_comments(src: str) -> str:
-    out: list[str] = []
-    for line in src.splitlines():
-        i = 0
-        while i < len(line):
-            if line[i] == "%" and (i == 0 or line[i - 1] != "\\"):
-                line = line[:i]
-                break
-            i += 1
-        out.append(line)
-    return "\n".join(out)
+# a comment: an unescaped % to the end of its line, which ends at "\n" only
+_COMMENT = re.compile(r"(?<!\\)%[^\n]*")
 
 
 def _read_brace_group(text: str, start: int) -> tuple[str, int]:
@@ -122,11 +111,9 @@ def _parse_cell(raw: str, tolerant: bool) -> RawCell:
 
 def parse_latex(src: str, *, tolerant: bool = False) -> tuple[Table | None, list[str]]:
     buffer = RowBuffer()
-    cleaned = _strip_comments(src)
+    cleaned = _COMMENT.sub("", src)
     begin = re.search(r"\\begin\s*\{tabular\}", cleaned)
     if begin is None:
-        if tolerant:
-            return None, buffer.warnings
         raise ParseError("input", "no tabular environment found")
     if not tolerant:
         head = cleaned[: begin.start()]

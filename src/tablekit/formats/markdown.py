@@ -42,24 +42,18 @@ def _is_separator(cells: list[str]) -> bool:
 
 
 def parse_markdown(src: str, *, tolerant: bool = False) -> tuple[Table | None, list[str]]:
-    lines = [ln.strip() for ln in src.splitlines()]
-    buffer = RowBuffer()
+    # lines end at "\n" only (not where str.splitlines ends them), so a cell keeps U+2028
+    lines = [ln.strip() for ln in src.split("\n")]
 
+    table_lines: list[str] = []
     if tolerant:
         # first contiguous block of pipe lines, junk around it dropped
-        block: list[str] = []
-        started = False
         for ln in lines:
             if "|" in ln:
-                block.append(ln)
-                started = True
-            elif started and ln == "":
+                table_lines.append(ln)
+            elif table_lines:
                 break
-            elif started:
-                break
-        table_lines = block
     else:
-        table_lines = []
         for idx, ln in enumerate(lines):
             if ln == "":
                 continue
@@ -68,8 +62,6 @@ def parse_markdown(src: str, *, tolerant: bool = False) -> tuple[Table | None, l
             table_lines.append(ln)
 
     if not table_lines:
-        if tolerant:
-            return None, buffer.warnings
         raise ParseError("input", "no table rows found")
 
     rows: list[list[str]] = []
@@ -86,14 +78,11 @@ def parse_markdown(src: str, *, tolerant: bool = False) -> tuple[Table | None, l
         rows.append(cells)
 
     if not rows:
-        if tolerant:
-            return None, buffer.warnings
         raise ParseError("input", "no data rows found")
     if not tolerant and len(table_lines) < 2:
         raise ParseError("input", "missing separator row")
 
-    for i, cells in enumerate(rows):
-        buffer.rows.append([RawCell(content=c, is_header=(i == 0)) for c in cells])
+    buffer = RowBuffer([[RawCell(content=c, is_header=(i == 0)) for c in cells] for i, cells in enumerate(rows)])
     table = assemble(buffer, tolerant=tolerant, skip_occupied=True)
     return table, buffer.warnings
 

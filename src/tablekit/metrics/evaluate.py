@@ -22,7 +22,7 @@ from ..numeric import left_sum
 from ..taskdefs import TaskKind
 from .bleu import bleu
 from .extraction import ExtractionResult, ExtractionStatus, extract_json_answer
-from .teds import html_to_tree, table_to_tree, teds_of_trees
+from .teds import html_to_tree, table_to_tree, teds, teds_of_trees
 
 
 class FileFormatError(ValueError):
@@ -168,20 +168,6 @@ def score_tr(pred_text: object, pred_fmt: TableFormat, gold_html: str) -> float:
     """
     pred_tree = table_to_tree(parse_tolerant(str(pred_text), pred_fmt)[0])
     return teds_of_trees(pred_tree, html_to_tree(gold_html))
-
-
-def _score_tr_text(pred_table: str, gold_table: str, fmt: TableFormat) -> float:
-    """score_tr(pred_table, fmt, convert(gold_table, fmt)[0]), parsing each
-    table once and building its tree from the parsed Table.
-
-    convert is pure and both sides use the gold's format, so equal texts
-    score 1.0 without a parse.
-    """
-    if pred_table == gold_table:
-        return 1.0
-    pred_tree = table_to_tree(parse_tolerant(pred_table, fmt)[0])
-    gold_tree = table_to_tree(parse_tolerant(gold_table, fmt)[0])
-    return teds_of_trees(pred_tree, gold_tree)
 
 
 _NUMERIC = re.compile(r"-?\d[\d,]*(?:\.\d+)?\s*%?")
@@ -431,7 +417,7 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
             pred_table = str(payload["answer"])
         else:
             pred_table = str(payload)
-        record["teds"] = _score_tr_text(pred_table, gold_table, fmt)
+        record["teds"] = teds(pred_table, gold_table, fmt)
         record["format"] = fmt.value
     else:  # QA_WRAP
         gold_text = gold_answer.get("answer", "")

@@ -180,10 +180,10 @@ _MCD_REGION = re.compile(
     r"\s*(?:[(\[]\s*)?(\d+)\s*,\s*(\d+)\s*(?:[)\]]\s*)?[)\]]"
 )
 
-# when only space follows the marker, up to the end of the text, the answer is
-# the last of it that is not a newline (and strips to "")
+# the marker is one of is, was, is:, was:, : and =; an answer starts with
+# neither space nor a colon, so a marker with nothing after it matches none
 _QA_ANSWER = re.compile(
-    r"answer\s*(?:is|[:=])\s*(\S(?:[^\n]*\S)?|[^\S\n])\s*$", re.I | re.M
+    r"answer\s*(?:(?:is|was)(?:\s*:)?|[:=])\s*([^\s:](?:[^\n]*\S)?)\s*$", re.I | re.M
 )
 
 # a value that ends in a quote before the space and the `;` or line end loses

@@ -10,14 +10,14 @@ for two td nodes it costs 1 on any span mismatch and otherwise the
 Levenshtein distance of their contents divided by the longer length
 (0 when both are empty); matching non-td tags rename for free.
 
-A tree is built from a parsed Table (table_to_tree). HTML text becomes a
-tree by the package's one tolerant HTML parser (formats.parse_tolerant)
-followed by table_to_tree (html_to_tree), so teds, score_tr and the tr
-scorer of evaluate repair sloppy HTML the same way: ragged rows are
-padded, spans are clamped to the grid and to the parser's size limits, and
-a nested table is flattened into its cell. Two equal HTML strings give
-identical trees, and identical trees are at distance exactly 0, so teds
-returns 1.0 for equal strings without building the trees, and
+A tree is built from a parsed Table (table_to_tree). Table text becomes a
+tree by the package's tolerant parser for its format
+(formats.parse_tolerant) followed by table_to_tree, so teds (which the tr
+scorer of evaluate calls) and score_tr repair sloppy text the same way:
+ragged rows are padded, spans are clamped to the grid and to the parser's
+size limits, and a nested HTML table is flattened into its cell. Two equal
+strings give identical trees, and identical trees are at distance exactly
+0, so teds returns 1.0 for equal strings without building the trees, and
 tree_edit_distance returns 0.0 for equal trees without running the DP.
 
 tree_edit_distance is exact on any pair of trees. It runs the DP in a band
@@ -335,8 +335,11 @@ def teds_of_trees(t1: TreeNode, t2: TreeNode) -> float:
     return 1.0 - distance / max(tree_size(t1), tree_size(t2))
 
 
-def teds(pred_html: str, gold_html: str) -> float:
-    """Similarity in [0, 1]; 1 means the table trees match exactly."""
-    if pred_html == gold_html:
+def teds(pred: str, gold: str, fmt: TableFormat = TableFormat.HTML) -> float:
+    """Similarity in [0, 1] of two table texts, each parsed tolerantly in
+    fmt; 1 means the table trees match exactly. Equal texts score 1.0
+    unparsed. evaluate scores a tr answer with it, in the gold's format."""
+    if pred == gold:
         return 1.0
-    return teds_of_trees(html_to_tree(pred_html), html_to_tree(gold_html))
+    pred_tree = table_to_tree(parse_tolerant(str(pred), fmt)[0])
+    return teds_of_trees(pred_tree, table_to_tree(parse_tolerant(str(gold), fmt)[0]))

@@ -90,34 +90,18 @@ class PipelineConfig:
     def from_dict(cls, raw: object, base_dir: str | Path = ".") -> "PipelineConfig":
         if not isinstance(raw, dict):
             raise PipelineConfigError("config must be a JSON object")
-        unknown = set(raw).difference(_CONFIG_KEYS)
+        unknown = set(raw).difference(_COERCE)
         if unknown:
             raise PipelineConfigError(f"unknown config keys: {sorted(unknown)}")
         if "corpus_dir" not in raw:
             raise PipelineConfigError("config lacks corpus_dir")
-        counts = None
-        if raw.get("counts") is not None:
-            counts = {}
-            for name, pair in raw["counts"].items():
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise PipelineConfigError(f"counts[{name!r}] must be [train, eval]")
-                counts[str(name)] = (int(pair[0]), int(pair[1]))
-        config = cls(
-            corpus_dir=str(raw["corpus_dir"]),
-            master_seed=int(raw.get("master_seed", 0)),
-            counts=counts,
-            tce_cells_per_sample=int(raw.get("tce_cells_per_sample", 3)),
-            tcl_cells_per_sample=int(raw.get("tcl_cells_per_sample", 3)),
-            tr_format_weights=raw.get("tr_format_weights"),
-            multiturn_fraction=float(raw.get("multiturn_fraction", 0.0)),
-            style_mix=raw.get("style_mix"),
-            style_ranges_path=raw.get("style_ranges_path"),
-            template_pool_path=raw.get("template_pool_path"),
-            qa_pairs_path=raw.get("qa_pairs_path"),
-            rasterizer_command=raw.get("rasterizer_command"),
-            raster_dpi=int(raw.get("raster_dpi", 96)),
-            base_dir=Path(base_dir),
-        )
+        values = {}
+        for key, value in raw.items():
+            try:
+                values[key] = _COERCE[key](value)
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise PipelineConfigError(f"bad config value for {key}: {exc}")
+        config = cls(**values, base_dir=Path(base_dir))
         config.to_synth_config()  # surface count/weight problems at load time
         config.resolve_style_mix()
         return config
@@ -128,7 +112,7 @@ class PipelineConfig:
 
     def echo(self) -> dict:
         """The config as fed in, for the manifest: every key that is set."""
-        out = {key: getattr(self, key) for key in _CONFIG_KEYS}
+        out = {key: getattr(self, key) for key in _COERCE}
         if self.counts is not None:
             out["counts"] = {k: list(v) for k, v in sorted(self.counts.items())}
         return {key: value for key, value in out.items() if value is not None}
@@ -188,7 +172,49 @@ class PipelineConfig:
         return raw
 
 
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig) if f.name != "base_dir")
+def _counts(value: object) -> dict[str, tuple[int, int]] | None:
+    if value is None:
+        return None
+    counts = {}
+    for name, pair in value.items():
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"counts[{name!r}] must be [train, eval]")
+        counts[str(name)] = (int(pair[0]), int(pair[1]))
+    return counts
+
+
+def _weights(value: object) -> object:
+    """The weights as written, for the manifest echo, once each reads as a number."""
+    if value is not None:
+        for weight in value.values():
+            float(weight)
+    return value
+
+
+def _path(value: object) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+# the one coercion of each config key (a field of PipelineConfig other than
+# base_dir); a key left out takes the field default, and null is the default
+# of a key whose default is None
+_COERCE = {
+    "corpus_dir": str,
+    "master_seed": int,
+    "counts": _counts,
+    "tce_cells_per_sample": int,
+    "tcl_cells_per_sample": int,
+    "tr_format_weights": _weights,
+    "multiturn_fraction": float,
+    "style_mix": _weights,
+    "style_ranges_path": _path,
+    "template_pool_path": _path,
+    "qa_pairs_path": _path,
+    "rasterizer_command": _path,
+    "raster_dpi": int,
+}
 
 
 # ---------------------------------------------------------------------------

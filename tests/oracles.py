@@ -439,14 +439,16 @@ def _last_json_object(text: str) -> dict | None:
 # ---------------------------------------------------------------------------
 # extraction fallbacks: the package's former patterns, whose whitespace and
 # digit runs could each be split between several quantifiers (polynomial
-# backtracking on a failed match), kept as the reference for the linear ones
+# backtracking on a failed match), kept as the reference for the linear ones.
+# QA_ANSWER is the plain form of the package's current marker set (is, was,
+# is:, was:, :, =; an answer starts with neither space nor a colon), its runs overlapping the same way.
 # ---------------------------------------------------------------------------
 
 TSD_ROW = re.compile(r"rows?[\s_-]*(?:number|count)?\s*(?:is|was|[:=])?\s*(\d+)", re.I)
 TSD_COL = re.compile(r"col(?:umn)?s?[\s_-]*(?:number|count)?\s*(?:is|was|[:=])?\s*(\d+)", re.I)
 TSD_ROW_REV = re.compile(r"(\d+)\s+rows?\b", re.I)
 TSD_COL_REV = re.compile(r"(\d+)\s+col(?:umn)?s?\b", re.I)
-QA_ANSWER = re.compile(r"answer\s*(?:is|[:=])\s*(.+?)\s*$", re.I | re.M)
+QA_ANSWER = re.compile(r"answer\s*(?:(?:is|was)\s*:?|[:=])\s*([^\s:].*?)\s*$", re.I | re.M)
 MCD_REGION = re.compile(
     r"[(\[]\s*[(\[]?\s*(\d+)\s*,\s*(\d+)\s*[)\]]?\s*,\s*[(\[]?\s*(\d+)\s*,\s*(\d+)\s*[)\]]?\s*[)\]]"
 )

@@ -291,6 +291,31 @@ def test_round_trip_random_tables():
         assert back_tex == tex_table
 
 
+# characters other than "\n" at which str.splitlines breaks a line
+_SPLITLINES_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"]
+
+
+@pytest.mark.parametrize("ch", _SPLITLINES_BREAKS, ids=[f"U+{ord(ch):04X}" for ch in _SPLITLINES_BREAKS])
+def test_cells_keep_characters_that_splitlines_breaks_at(ch):
+    for fmt, header in ((HTML, False), (MD, True), (TEX, False)):
+        table = Table(1, 2, (
+            AnchorCell(1, 1, content=f"a{ch}b", is_header=header),
+            AnchorCell(1, 2, content="c", is_header=header),
+        ))
+        back, _ = parse(serialize(table, fmt), fmt)
+        assert back == table, fmt
+        assert parse_tolerant(serialize(table, fmt), fmt)[0] == table, fmt
+
+
+def test_crlf_text_parses_as_lf_text():
+    table = Table(2, 2, tuple(
+        AnchorCell(r, c, content=f"{r}{c}", is_header=(r == 1)) for r in (1, 2) for c in (1, 2)
+    ))
+    for fmt in (MD, TEX):
+        text = serialize(table, fmt)
+        assert parse(text.replace("\n", "\r\n"), fmt) == parse(text, fmt), fmt
+
+
 # -------------------------------------------------------------- convert
 
 
@@ -323,6 +348,21 @@ def test_convert_unrecoverable_returns_sentinel():
     assert html == SENTINEL_HTML and not diag.recovered
     html, diag = convert("<table></table>", HTML)
     assert html == SENTINEL_HTML and not diag.recovered
+
+
+@pytest.mark.parametrize("src, fmt, reason", [
+    ("nothing table-like here", HTML, "no <table> found"),
+    ("nothing table-like here", MD, "no table rows found"),
+    ("| --- | --- |", MD, "no data rows found"),
+    ("nothing table-like here", TEX, "no tabular environment found"),
+])  # fmt: skip
+def test_tolerant_parse_of_text_with_no_table_is_none_with_the_reason(src, fmt, reason):
+    table, warnings = parse_tolerant(src, fmt)
+    assert table is None
+    assert any(reason in w for w in warnings), warnings
+    html, diag = convert(src, fmt)
+    assert html == SENTINEL_HTML and not diag.recovered
+    assert any(reason in w for w in diag.warnings), diag.warnings
 
 
 def test_convert_repairs_broken_spans():

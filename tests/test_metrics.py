@@ -19,7 +19,6 @@ from tablekit.formats.html import serialize_html
 from tablekit.metrics.bleu import LengthMismatch, bleu, tokenize
 from tablekit.metrics.evaluate import (
     FileFormatError,
-    _score_tr_text,
     aggregate,
     answers_match,
     evaluate,
@@ -501,9 +500,10 @@ def test_table_to_tree_equals_html_to_tree_of_serialize_html():
 
 
 def test_tr_scoring_from_parsed_tables_equals_convert_then_full_teds():
-    """score_sample's tr path equals converting both sides to HTML and running
-    the former full-width TEDS, on random tables in each format with random
-    character edits (many break the spans or the table)."""
+    """teds in a table's own format (score_sample's tr path) equals
+    converting both sides to HTML and running the former full-width TEDS, on
+    random tables in each format with random character edits (many break the
+    spans or the table)."""
     rng = random.Random(725)
     for i in range(240):
         fmt = list(TableFormat)[i % 3]
@@ -518,7 +518,7 @@ def test_tr_scoring_from_parsed_tables_equals_convert_then_full_teds():
             want = 1.0
         else:
             want = 1.0 - oracles.tree_edit_distance(t1, t2) / max(tree_size(t1), tree_size(t2))
-        assert _score_tr_text(pred_text, gold_text, fmt) == want, (fmt, pred_text)
+        assert teds(pred_text, gold_text, fmt) == want, (fmt, pred_text)
         assert score_tr(pred_text, fmt, gold_html) == want
         assert table_to_tree(parse_tolerant(pred_text, fmt)[0]) == t1
 
@@ -680,6 +680,17 @@ def test_extract_qa_fallback_takes_last_answer():
     assert quoted.payload == {"answer": "Tokyo"}
 
 
+@pytest.mark.parametrize("text", [
+    "The answer is: Paris", "The answer was Paris", "answer was: Paris", "answer = Paris",
+    "The answer is Paris\nanswer is ", "answer: Paris\nThe answer was:\t \n",
+])  # fmt: skip
+def test_extract_qa_fallback_markers(text):
+    result = extract_json_answer(text, TaskKind.QA_WRAP)
+    assert result.status is ExtractionStatus.REGEX_FALLBACK
+    assert result.payload == {"answer": "Paris"}
+    assert score_sample(TaskKind.QA_WRAP, text, {"answer": "Paris"}, None)["correct"]
+
+
 def test_extract_tce_tcl_fallbacks():
     tce = extract_json_answer("(1, 2): Alice\n(2, 3): Bob", TaskKind.TCE)
     assert tce.payload == {
@@ -836,10 +847,12 @@ def test_fallback_patterns_match_the_former_ones_on_random_strings(patterns, pie
         (TaskKind.TSD, lambda n: "columns" + " " * n + "x", 1000),
         (TaskKind.TSD, lambda n: "1" * n + " x", 4000),
         (TaskKind.QA_WRAP, lambda n: "answer is a" + " " * n + "b", 4000),
+        (TaskKind.QA_WRAP, lambda n: "answer was" + " " * n + ":" + " " * n, 4000),
         (TaskKind.TCE, lambda n: "(1, 2): a" + " " * n + "b", 2000),
         (TaskKind.MCD, lambda n: "((" + " " * n + "x", 2000),
     ],
-    ids=["rows-spaces", "columns-spaces", "digits", "answer-spaces", "value-spaces", "region-spaces"],
+    ids=["rows-spaces", "columns-spaces", "digits", "answer-spaces", "marker-colon", "value-spaces",
+         "region-spaces"],
 )
 def test_extraction_fallbacks_grow_linearly(task, make, n):
     ratio = growth_ratio(lambda text: extract_json_answer(text, task), make, n)

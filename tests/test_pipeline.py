@@ -111,6 +111,26 @@ def test_config_rejects_bad_shapes(tmp_path):
         PipelineConfig.from_file(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize("extra", [
+    {"master_seed": "abc"},
+    {"master_seed": None},
+    {"counts": [1, 2]},
+    {"counts": {"tsd": ["a", 1]}},
+    {"tr_format_weights": [1]},
+    {"tr_format_weights": {"html": None}},
+    {"style_mix": [1]},
+    {"raster_dpi": "x"},
+    {"multiturn_fraction": {}},
+    {"qa_pairs_path": 5},
+])  # fmt: skip
+def test_synth_reports_a_wrongly_typed_config_value(tmp_path, capsys, extra):
+    key = next(iter(extra))
+    path = _write_config(tmp_path, **{"counts": {"tsd": [2, 1]}, **extra})
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err, err
+
+
 def test_config_seed_override():
     config = PipelineConfig.from_dict({"corpus_dir": "c", "master_seed": 5})
     assert config.to_synth_config().master_seed == 5
