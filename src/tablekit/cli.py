@@ -115,7 +115,6 @@ def main(argv: list[str] | None = None) -> int:
         UnrepresentableInFormat,
         RasterizerUnavailable,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -84,7 +84,6 @@ def sniff_format(table_text: str) -> TableFormat:
 def parse(src: str, fmt: TableFormat) -> tuple[Table, ParseDiagnostics]:
     """Strict parse of one table in the given format."""
     table, warnings = _PARSERS[fmt](src, tolerant=False)
-    assert table is not None  # strict parsers raise instead of returning None
     return table, ParseDiagnostics(warnings=tuple(warnings))
 
 
@@ -100,8 +99,7 @@ def parse_tolerant(src: str, fmt: TableFormat) -> tuple[Table | None, list[str]]
     warnings then give the reason."""
     try:
         table, warnings = _PARSERS[fmt](src, tolerant=True)
-        if table is not None:
-            expand_grid(table)  # raises InvalidTable if the repair left no tiling
+        expand_grid(table)  # raises InvalidTable if the repair left no tiling
     except (RecursionError, ValueError) as exc:
         return None, [f"tolerant parse failed: {exc}"]
     return table, warnings

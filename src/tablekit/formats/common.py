@@ -62,38 +62,44 @@ class RowBuffer:
     warnings: list[str] = field(default_factory=list)
 
 
-def _free_column(
-    occupied: dict[tuple[int, int], AnchorCell], r: int, c: int, row_span: int, col_span: int
-) -> int:
-    """Leftmost column from c where a row_span x col_span cell at row r
-    covers no occupied position, looking no further than MAX_COLS."""
+def refuse(tolerant: bool, location: str, reason: str, error: type[ParseError] = ParseError) -> None:
+    """The one decision between the modes: strict mode raises error at
+    location for reason, tolerant mode returns, and the caller repairs."""
+    if not tolerant:
+        raise error(location, reason)
+
+
+def _free_column(occupied: dict[tuple[int, int], AnchorCell], r: int, c: int, col_span: int) -> int:
+    """Leftmost column from c where a cell col_span wide covers no occupied
+    position of row r.
+
+    Row r is enough for a cell of any row span: cells are placed row by row,
+    left to right, so a position right of the cursor that is occupied in a
+    later row belongs to a span from an earlier row, which covers row r in
+    the same column."""
     cc = c
-    while cc < c + col_span and cc <= MAX_COLS:
-        if any((rr, cc) in occupied for rr in range(r, r + row_span)):
+    while cc < c + col_span:
+        if (r, cc) in occupied:
             c = cc + 1
         cc += 1
     return c
 
 
-def assemble(
-    buffer: RowBuffer,
-    *,
-    tolerant: bool,
-    skip_occupied: bool = True,
-) -> Table | None:
+def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -> Table:
     """Place source cells onto the grid left to right, top to bottom.
 
     With skip_occupied (HTML semantics) a cell slides right past positions
     covered by spans from above.  Without it (LaTeX semantics) the source is
     expected to carry empty placeholder cells at covered positions, which are
-    consumed instead of placed.  In tolerant mode either way a cell then
-    slides right until none of the positions it would cover is occupied, so
-    the result never overlaps.
+    consumed instead of placed.  Either way a cell then slides right until
+    none of the positions it would cover is occupied, so the result never
+    overlaps.
 
-    Strict mode raises ParseError for spans that run past the last row, for
-    interior gaps, for placeholder collisions and for a cell any of whose
-    positions is already covered; ragged right edges are padded with empty
-    cells and recorded as warnings in both modes.
+    Strict mode raises ParseError for spans below 1 or past the last row, for
+    placeholder collisions, for a cell that had to slide and for interior
+    gaps; tolerant mode repairs each of them.  Ragged right edges are padded
+    with empty cells and recorded as warnings in both modes, and a buffer
+    with no rows is a ParseError in both.
     """
     rows = buffer.rows
     warn = buffer.warnings
@@ -102,8 +108,6 @@ def assemble(
         rows = rows[:MAX_ROWS]
     n_rows = len(rows)
     if n_rows == 0:
-        if tolerant:
-            return None
         raise ParseError("table", "no rows found")
 
     occupied: dict[tuple[int, int], AnchorCell] = {}
@@ -115,11 +119,13 @@ def assemble(
         for cell in row:
             row_span = cell.row_span
             col_span = cell.col_span
+            if row_span < 1 or col_span < 1:
+                refuse(tolerant, f"row {r}", f"span must be >= 1 at column {c}")
+                row_span = max(1, row_span)
+                col_span = max(1, col_span)
             if tolerant:
-                row_span = max(1, min(row_span, MAX_SPAN))
-                col_span = max(1, min(col_span, MAX_SPAN))
-            elif row_span < 1 or col_span < 1:
-                raise ParseError(f"row {r}", f"span must be >= 1 at column {c}")
+                row_span = min(row_span, MAX_SPAN)
+                col_span = min(col_span, MAX_SPAN)
 
             if skip_occupied:
                 while (r, c) in occupied:
@@ -129,20 +135,15 @@ def assemble(
                 if cell.content == "" and row_span == 1:
                     c += col_span
                     continue
-                if not tolerant:
-                    raise ParseError(f"row {r}", f"overlapping span at column {c}")
+                refuse(tolerant, f"row {r}", f"overlapping span at column {c}")
 
             if row_span > n_rows - r + 1:
-                if tolerant:
-                    row_span = n_rows - r + 1
-                else:
-                    raise ParseError(f"row {r}", f"row span runs past the last row at column {c}")
-            if tolerant:
-                c = _free_column(occupied, r, c, row_span, col_span)
-            elif col_span > 1 and any((r, cc) in occupied for cc in range(c + 1, c + col_span)):
-                # (r, c) is free here, and a span from an earlier row that
-                # covers a position of this cell covers row r as well
-                raise ParseError(f"row {r}", f"overlapping span at column {c}")
+                refuse(tolerant, f"row {r}", f"row span runs past the last row at column {c}")
+                row_span = n_rows - r + 1
+            free = _free_column(occupied, r, c, col_span)
+            if free != c:
+                refuse(tolerant, f"row {r}", f"overlapping span at column {c}")
+                c = free
             if tolerant and c + col_span - 1 > MAX_COLS:
                 col_span = max(1, MAX_COLS - c + 1)
                 if c > MAX_COLS:
@@ -169,8 +170,8 @@ def assemble(
         for c in range(1, n_cols + 1):
             if (r, c) in occupied:
                 continue
-            if c < last_covered[r] and not tolerant:
-                raise ParseError(f"row {r}", f"gap at column {c} cannot be padded")
+            if c < last_covered[r]:
+                refuse(tolerant, f"row {r}", f"gap at column {c} cannot be padded")
             anchor = AnchorCell(r, c)
             anchors.append(anchor)
             occupied[(r, c)] = anchor
@@ -179,9 +180,4 @@ def assemble(
         warn.append("ragged rows padded with empty cells")
 
     anchors.sort(key=lambda a: (a.row, a.col))
-    return Table(
-        n_rows=n_rows,
-        n_cols=n_cols,
-        anchors=tuple(anchors),
-        caption=buffer.caption,
-    )
+    return Table(n_rows=n_rows, n_cols=n_cols, anchors=tuple(anchors), caption=buffer.caption)

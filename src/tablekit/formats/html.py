@@ -14,6 +14,7 @@ from .common import (
     RowBuffer,
     UnsupportedConstruct,
     assemble,
+    refuse,
 )
 
 _STRUCTURAL = {"table", "caption", "thead", "tbody", "tfoot", "tr", "td", "th"}
@@ -45,20 +46,23 @@ class _TableHTMLParser(HTMLParser):
     def _warn(self, message: str) -> None:
         self.buffer.warnings.append(f"{self._loc()}: {message}")
 
+    def _repair(self, reason: str, warning: str, error: type[ParseError] = ParseError) -> None:
+        """Strict mode raises error for reason here; tolerant mode warns and
+        the caller repairs."""
+        refuse(self.tolerant, self._loc(), reason, error)
+        self._warn(warning)
+
     def _span_attr(self, attrs, name: str) -> int:
         for key, value in attrs:
             if key == name:
                 try:
                     span = int(str(value).strip())
                 except (TypeError, ValueError):
-                    if self.tolerant:
-                        self._warn(f"unreadable {name} ignored")
-                        return 1
-                    raise ParseError(self._loc(), f"unreadable {name}={value!r}")
+                    self._repair(f"unreadable {name}={value!r}", f"unreadable {name} ignored")
+                    return 1
                 if span < 1:
-                    if self.tolerant:
-                        return 1
-                    raise ParseError(self._loc(), f"{name} must be >= 1, got {span}")
+                    refuse(self.tolerant, self._loc(), f"{name} must be >= 1, got {span}")
+                    return 1
                 return span
         return 1
 
@@ -89,22 +93,16 @@ class _TableHTMLParser(HTMLParser):
             if self.table_depth == 0 and not self.finished_table:
                 self.table_depth = 1
             elif self.table_depth >= 1:
-                if not self.tolerant:
-                    raise UnsupportedConstruct(self._loc(), "nested table")
+                self._repair("nested table", "nested table flattened", UnsupportedConstruct)
                 self.table_depth += 1
-                self._warn("nested table flattened")
             elif self.finished_table:
-                if not self.tolerant:
-                    raise ParseError(self._loc(), "more than one table")
-                self._warn("extra table ignored")
+                self._repair("more than one table", "extra table ignored")
             return
         if self.table_depth != 1 or self.finished_table:
             if self.table_depth == 0 and not self.finished_table and tag in ("tr", "td", "th"):
                 # fragment without a <table> wrapper
-                if not self.tolerant:
-                    raise ParseError(self._loc(), f"<{tag}> outside a table")
+                self._repair(f"<{tag}> outside a table", "missing <table> wrapper assumed")
                 self.table_depth = 1
-                self._warn("missing <table> wrapper assumed")
             else:
                 return
         if tag == "caption":
@@ -121,10 +119,8 @@ class _TableHTMLParser(HTMLParser):
             return
         if tag in ("td", "th"):
             if self.current_row is None:
-                if not self.tolerant:
-                    raise ParseError(self._loc(), f"<{tag}> outside a row")
+                self._repair(f"<{tag}> outside a row", "cell outside a row starts an implicit row")
                 self.current_row = []
-                self._warn("cell outside a row starts an implicit row")
             self._close_cell()
             self.current_cell = RawCell(
                 content="",
@@ -180,7 +176,7 @@ class _TableHTMLParser(HTMLParser):
             self._warn("stray text inside table ignored")
 
 
-def parse_html(src: str, *, tolerant: bool = False) -> tuple[Table | None, list[str]]:
+def parse_html(src: str, *, tolerant: bool = False) -> tuple[Table, list[str]]:
     parser = _TableHTMLParser(tolerant)
     try:
         parser.feed(src)
@@ -190,16 +186,14 @@ def parse_html(src: str, *, tolerant: bool = False) -> tuple[Table | None, list[
     except Exception as exc:  # html.parser internals on hostile input
         raise ParseError("input", f"unparseable HTML: {exc}")
     if parser.table_depth > 0:
-        if not tolerant:
-            raise ParseError("input", "unclosed <table>")
+        refuse(tolerant, "input", "unclosed <table>")
         parser._close_row()
         parser.buffer.warnings.append("unclosed <table>")
     elif not parser.finished_table:
         raise ParseError("input", "no <table> found")
     caption = "".join(parser.caption_parts).strip()
     parser.buffer.caption = caption if caption else None
-    table = assemble(parser.buffer, tolerant=tolerant, skip_occupied=True)
-    return table, parser.buffer.warnings
+    return assemble(parser.buffer, tolerant=tolerant, skip_occupied=True), parser.buffer.warnings
 
 
 def escape_html(text: str) -> str:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 
 from ..core import Table, expand_grid
-from .common import ParseError, RawCell, RowBuffer, assemble
+from .common import ParseError, RawCell, RowBuffer, assemble, refuse
 
 _ESCAPES = {"&": "\\&", "%": "\\%", "#": "\\#", "_": "\\_", "{": "\\{", "}": "\\}"}
 _RULE = re.compile(r"\\(?:hline|toprule|midrule|bottomrule)\b|\\cline\s*\{[^}]*\}")
@@ -90,8 +90,7 @@ def _parse_cell(raw: str, tolerant: bool) -> RawCell:
             inner, _ = _read_brace_group(text, after)
             col_span = int(n_text.strip())
         except (ParseError, ValueError):
-            if not tolerant:
-                raise ParseError("cell", f"malformed \\multicolumn in {raw!r}")
+            refuse(tolerant, "cell", f"malformed \\multicolumn in {raw!r}")
             return RawCell(content=_unescape(text))
         text = inner.strip()
     mr = _MULTIROW.match(text)
@@ -102,14 +101,13 @@ def _parse_cell(raw: str, tolerant: bool) -> RawCell:
             inner, _ = _read_brace_group(text, after)
             row_span = int(m_text.strip())
         except (ParseError, ValueError):
-            if not tolerant:
-                raise ParseError("cell", f"malformed \\multirow in {raw!r}")
+            refuse(tolerant, "cell", f"malformed \\multirow in {raw!r}")
             return RawCell(content=_unescape(text), col_span=max(col_span, 1))
         text = inner.strip()
     return RawCell(content=_unescape(text), row_span=row_span, col_span=col_span)
 
 
-def parse_latex(src: str, *, tolerant: bool = False) -> tuple[Table | None, list[str]]:
+def parse_latex(src: str, *, tolerant: bool = False) -> tuple[Table, list[str]]:
     buffer = RowBuffer()
     cleaned = _COMMENT.sub("", src)
     begin = re.search(r"\\begin\s*\{tabular\}", cleaned)
@@ -124,15 +122,12 @@ def parse_latex(src: str, *, tolerant: bool = False) -> tuple[Table | None, list
     try:
         _, body_start = _read_brace_group(cleaned, begin.end())  # column spec, ignored
     except ParseError:
-        if tolerant:
-            buffer.warnings.append("missing column spec")
-            body_start = begin.end()
-        else:
-            raise ParseError("input", "missing column spec after \\begin{tabular}")
+        refuse(tolerant, "input", "missing column spec after \\begin{tabular}")
+        buffer.warnings.append("missing column spec")
+        body_start = begin.end()
     end = re.search(r"\\end\s*\{tabular\}", cleaned[body_start:])
     if end is None:
-        if not tolerant:
-            raise ParseError("input", "missing \\end{tabular}")
+        refuse(tolerant, "input", "missing \\end{tabular}")
         buffer.warnings.append("missing \\end{tabular}")
         body = cleaned[body_start:]
     else:
@@ -149,8 +144,7 @@ def parse_latex(src: str, *, tolerant: bool = False) -> tuple[Table | None, list
         # (single-column rowspan continuations look exactly like that)
         cells = [_parse_cell(c, tolerant) for c in _split_cells(seg)]
         buffer.rows.append(cells)
-    table = assemble(buffer, tolerant=tolerant, skip_occupied=False)
-    return table, buffer.warnings
+    return assemble(buffer, tolerant=tolerant, skip_occupied=False), buffer.warnings
 
 
 def escape_latex(text: str) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from ..core import Table, expand_grid
-from .common import ParseError, RawCell, RowBuffer, UnrepresentableInFormat, assemble
+from .common import ParseError, RawCell, RowBuffer, UnrepresentableInFormat, assemble, refuse
 
 _SEPARATOR_CELL = re.compile(r"^:?-+:?$")
 
@@ -41,7 +41,7 @@ def _is_separator(cells: list[str]) -> bool:
     return bool(cells) and all(_SEPARATOR_CELL.match(c) for c in cells if c) and any(c for c in cells)
 
 
-def parse_markdown(src: str, *, tolerant: bool = False) -> tuple[Table | None, list[str]]:
+def parse_markdown(src: str, *, tolerant: bool = False) -> tuple[Table, list[str]]:
     # lines end at "\n" only (not where str.splitlines ends them), so a cell keeps U+2028
     lines = [ln.strip() for ln in src.split("\n")]
 
@@ -68,23 +68,20 @@ def parse_markdown(src: str, *, tolerant: bool = False) -> tuple[Table | None, l
     for pos, ln in enumerate(table_lines):
         cells = _split_row(ln)
         if _is_separator(cells):
-            if tolerant:
-                continue
             if pos != 1:
-                raise ParseError(f"line {pos + 1}", "separator row out of place")
+                refuse(tolerant, f"line {pos + 1}", "separator row out of place")
             continue
-        if not tolerant and pos == 1:
-            raise ParseError("line 2", "missing separator row")
+        if pos == 1:
+            refuse(tolerant, "line 2", "missing separator row")
         rows.append(cells)
 
     if not rows:
         raise ParseError("input", "no data rows found")
-    if not tolerant and len(table_lines) < 2:
-        raise ParseError("input", "missing separator row")
+    if len(table_lines) < 2:
+        refuse(tolerant, "input", "missing separator row")
 
     buffer = RowBuffer([[RawCell(content=c, is_header=(i == 0)) for c in cells] for i, cells in enumerate(rows)])
-    table = assemble(buffer, tolerant=tolerant, skip_occupied=True)
-    return table, buffer.warnings
+    return assemble(buffer, tolerant=tolerant, skip_occupied=True), buffer.warnings
 
 
 def _escape_cell(text: str) -> str:

@@ -243,7 +243,7 @@ def _read_jsonl(path: str | Path) -> list[dict]:
     records = []
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}")
     # records are delimited by newlines only; str.splitlines would also break
     # on characters like NEL that may appear raw inside a JSON string

@@ -1,6 +1,7 @@
 """One rounding policy for float sums, so outputs match on every Python."""
 
-from typing import Iterable
+import math
+from typing import Iterable, Mapping
 
 
 def left_sum(values: Iterable[float], start: float = 0.0) -> float:
@@ -10,3 +11,14 @@ def left_sum(values: Iterable[float], start: float = 0.0) -> float:
     for value in values:
         total += value
     return total
+
+
+def check_weights(weights: Mapping[object, float], key: str) -> None:
+    """Raises ValueError naming key unless every weight is finite and >= 0
+    and their left_sum is within 1e-9 of 1."""
+    for weight in weights.values():
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(f"{key} must be finite and >= 0, got {weight!r}")
+    total = left_sum(weights.values())
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{key} must sum to 1, got {total}")

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .core import Table, checked, table_from_dict
+from .core import InvalidTable, Table, checked, table_from_json
 from .formats import detect_format, parse, serialize
 from .formats.common import ParseError, TableFormat, UnrepresentableInFormat
 from .metrics.evaluate import (
@@ -80,7 +80,7 @@ class PipelineConfig:
         path = Path(path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise PipelineConfigError(f"cannot read config {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise PipelineConfigError(f"config {path} is not valid JSON: {exc}")
@@ -146,18 +146,20 @@ class PipelineConfig:
     def resolve_style_ranges(self) -> dict | None:
         if self.style_ranges_path is None:
             return None
+        path = self._resolve(self.style_ranges_path)
         try:
-            return load_style_ranges(self._resolve(self.style_ranges_path))
+            return load_style_ranges(path)
         except (OSError, ValueError) as exc:
-            raise PipelineConfigError(f"bad style ranges file: {exc}")
+            raise PipelineConfigError(f"bad style ranges file {path}: {exc}")
 
     def resolve_pool(self):
         if self.template_pool_path is None:
             return default_pool()
+        path = self._resolve(self.template_pool_path)
         try:
-            return load_pool(self._resolve(self.template_pool_path))
+            return load_pool(path)
         except (OSError, ValueError) as exc:
-            raise PipelineConfigError(f"bad template pool: {exc}")
+            raise PipelineConfigError(f"bad template pool {path}: {exc}")
 
     def resolve_qa_pairs(self) -> list[dict]:
         if self.qa_pairs_path is None:
@@ -165,11 +167,18 @@ class PipelineConfig:
         path = self._resolve(self.qa_pairs_path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise PipelineConfigError(f"bad qa pairs file {path}: {exc}")
         if not isinstance(raw, list) or not all(isinstance(p, dict) for p in raw):
             raise PipelineConfigError(f"{path} must hold a JSON list of objects")
         return raw
+
+
+def _int(value: object) -> int:
+    """A JSON integer as written; a float, a boolean or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _counts(value: object) -> dict[str, tuple[int, int]] | None:
@@ -179,7 +188,7 @@ def _counts(value: object) -> dict[str, tuple[int, int]] | None:
     for name, pair in value.items():
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"counts[{name!r}] must be [train, eval]")
-        counts[str(name)] = (int(pair[0]), int(pair[1]))
+        counts[str(name)] = (_int(pair[0]), _int(pair[1]))
     return counts
 
 
@@ -202,10 +211,10 @@ def _path(value: object) -> str | None:
 # of a key whose default is None
 _COERCE = {
     "corpus_dir": str,
-    "master_seed": int,
+    "master_seed": _int,
     "counts": _counts,
-    "tce_cells_per_sample": int,
-    "tcl_cells_per_sample": int,
+    "tce_cells_per_sample": _int,
+    "tcl_cells_per_sample": _int,
     "tr_format_weights": _weights,
     "multiturn_fraction": float,
     "style_mix": _weights,
@@ -213,7 +222,7 @@ _COERCE = {
     "template_pool_path": _path,
     "qa_pairs_path": _path,
     "rasterizer_command": _path,
-    "raster_dpi": int,
+    "raster_dpi": _int,
 }
 
 
@@ -236,15 +245,19 @@ _CORPUS_SUFFIXES = (".json", ".html", ".htm", ".md", ".markdown", ".tex")
 
 
 def _load_table_file(path: Path, source_id: str | None = None) -> Table:
-    """One valid table from a file; source_id, when given, replaces the file's own."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix.lower() == ".json":
-        table = table_from_dict(json.loads(text))
-    else:
-        fmt = detect_format(path)
-        if fmt is None:
-            raise ParseError(str(path), f"unsupported extension {path.suffix!r}")
-        table, _diag = parse(text, fmt)
+    """One valid table from a file; source_id, when given, replaces the file's own.
+
+    A file that cannot be read raises OSError; any other failure, from bytes
+    that are not UTF-8 to a table that does not tile, is a ParseError naming
+    the file."""
+    fmt = detect_format(path)
+    if fmt is None and path.suffix.lower() != ".json":
+        raise ParseError(str(path), f"unsupported extension {path.suffix!r}")
+    try:
+        text = path.read_text(encoding="utf-8")
+        table = table_from_json(text) if fmt is None else parse(text, fmt)[0]
+    except (UnicodeDecodeError, InvalidTable, ParseError) as exc:
+        raise ParseError(str(path), str(exc)) from exc
     if source_id is not None:
         table = dataclasses.replace(table, source_id=source_id)
     verdict = checked(table)

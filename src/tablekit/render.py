@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
 from .core import AnchorCell, Table, expand_grid
-from .numeric import left_sum
+from .numeric import check_weights
 from .textmetrics import line_height, text_width, wrap_text
 
 MIN_COL_WIDTH = 24
@@ -66,11 +66,7 @@ class StyleMix:
     weights: Mapping[StyleFamily, float]
 
     def __post_init__(self) -> None:
-        total = left_sum(self.weights.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mix weights must sum to 1, got {total}")
-        if any(w < 0 for w in self.weights.values()):
-            raise ValueError("mix weights must be >= 0")
+        check_weights(self.weights, "style_mix")
 
     def ordered(self) -> list[tuple[StyleFamily, float]]:
         return [(f, self.weights.get(f, 0.0)) for f in StyleFamily]
@@ -91,13 +87,60 @@ def default_style_ranges() -> dict:
     return _default_ranges_cache
 
 
+# what sample_style reads from a family's ranges: the lists it draws one
+# value from, and the [low, high] integers it draws one integer between, each
+# by the StyleSpec field it fills
+_STYLE_CHOICES = {
+    "fonts": "font_family",
+    "header_fills": "header_fill",
+    "zebra_fills": "zebra_fill",
+    "border_widths": "border_width",
+}
+_STYLE_RANGES = {"font_size": "font_size", "cell_paddings": "cell_padding", "max_col_widths": "max_col_width"}
+
+
+def _check_family(family: StyleFamily, cfg: object) -> None:
+    """Raises ValueError unless every style sample_style can draw from cfg is
+    one that StyleSpec accepts."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"family {family.value!r} must be an object")
+    for key in (*_STYLE_CHOICES, *_STYLE_RANGES, "zebra_probability"):
+        if key not in cfg:
+            raise ValueError(f"family {family.value!r} lacks {key!r}")
+    for key in _STYLE_CHOICES:
+        if not isinstance(cfg[key], list) or not (cfg[key] or key == "zebra_fills"):
+            raise ValueError(f"family {family.value!r}: {key} must be a list of choices")
+    for key in _STYLE_RANGES:
+        ends = cfg[key]
+        if not (isinstance(ends, list) and len(ends) == 2 and all(type(v) is int for v in ends) and ends[0] <= ends[1]):
+            raise ValueError(f"family {family.value!r}: {key} must be [low, high] integers")
+    if not all(isinstance(font, str) for font in cfg["fonts"]):
+        raise ValueError(f"family {family.value!r}: fonts must be strings")
+    if type(cfg["zebra_probability"]) not in (int, float):
+        raise ValueError(f"family {family.value!r}: zebra_probability must be a number")
+    # StyleSpec checks each field alone, but for the column width against the
+    # padding: so try every value of one field at a time, from the widest
+    # padding with the narrowest column
+    base = {field: cfg[key][0] for key, field in _STYLE_RANGES.items()}
+    base["cell_padding"] = cfg["cell_paddings"][1]
+    base.update((field, cfg[key][0] if cfg[key] else None) for key, field in _STYLE_CHOICES.items())
+    try:
+        for key, field in (*_STYLE_CHOICES.items(), *_STYLE_RANGES.items()):
+            for value in cfg[key]:
+                StyleSpec(family, **{**base, field: value})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"family {family.value!r}: {exc}")
+
+
 def load_style_ranges(path: str | Path) -> dict:
-    data = json.loads(Path(path).read_text())
-    if "families" not in data:
+    """The style ranges of a JSON file, once every family's draws are sound."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict) or not isinstance(data.get("families"), dict):
         raise ValueError("style config must have a 'families' section")
     for fam in StyleFamily:
         if fam.value not in data["families"]:
             raise ValueError(f"style config missing family {fam.value!r}")
+        _check_family(fam, data["families"][fam.value])
     return data
 
 

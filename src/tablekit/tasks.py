@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import Table, expand_grid, merged_regions
 from .formats import serialize
 from .formats.common import TableFormat
-from .numeric import left_sum
+from .numeric import check_weights, left_sum
 from .render import DEFAULT_STYLE_MIX, StyleMix, StyleSpec, sample_style
 from .taskdefs import TaskKind
 from .templates import TemplatePool, build_request, default_pool
@@ -310,9 +310,7 @@ class SynthConfig:
         for task, (train_n, eval_n) in self.counts.items():
             if train_n < 0 or eval_n < 0:
                 raise ValueError(f"counts for {task.value} must be >= 0")
-        total = left_sum(self.tr_format_weights.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"tr_format_weights must sum to 1, got {total}")
+        check_weights(self.tr_format_weights, "tr_format_weights")
         if not 0.0 <= self.multiturn_fraction <= 1.0:
             raise ValueError("multiturn_fraction must be in [0, 1]")
         if self.tce_cells_per_sample < 1 or self.tcl_cells_per_sample < 1:

@@ -757,7 +757,9 @@ def wrap_text(text: str, font_family: str, font_size_pt: int | float, max_width:
 # grid placement: the package's former assemble, which decides whether an
 # uncovered position is an interior gap by scanning the rest of its row
 # (O(rows x cols^2) padding), kept as the reference for the one-mark-per-row
-# padding; it reads the package's types, limits and free-column search
+# padding; it reads the package's types and limits, and places cells with the
+# former free-column search, which checks every row a cell spans, where the
+# package's checks row r alone
 # ---------------------------------------------------------------------------
 
 from tablekit.core import AnchorCell, Table  # noqa: E402
@@ -767,11 +769,21 @@ from tablekit.formats.common import (  # noqa: E402
     MAX_SPAN,
     ParseError,
     RowBuffer,
-    _free_column,
 )
 
 
-def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -> Table | None:
+def _free_column(occupied: dict, r: int, c: int, row_span: int, col_span: int) -> int:
+    """Leftmost column from c where a row_span x col_span cell at row r
+    covers no occupied position, looking no further than MAX_COLS."""
+    cc = c
+    while cc < c + col_span and cc <= MAX_COLS:
+        if any((rr, cc) in occupied for rr in range(r, r + row_span)):
+            c = cc + 1
+        cc += 1
+    return c
+
+
+def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -> Table:
     rows = buffer.rows
     warn = buffer.warnings
     if tolerant and len(rows) > MAX_ROWS:
@@ -779,8 +791,6 @@ def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -
         rows = rows[:MAX_ROWS]
     n_rows = len(rows)
     if n_rows == 0:
-        if tolerant:
-            return None
         raise ParseError("table", "no rows found")
 
     occupied: dict[tuple[int, int], AnchorCell] = {}

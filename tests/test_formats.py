@@ -478,6 +478,13 @@ def test_assemble_matches_reference_on_random_row_buffers():
         RowBuffer([[RawCell(str(i))] for i in range(MAX_ROWS + 1)]),
         RowBuffer([[RawCell("x", 500)] for _ in range(30)]),
     ]
+    # a later row's cell with a colspan meets a tall span from above: the
+    # package checks its own row only, the reference every row it spans
+    buffers += [
+        RowBuffer([[RawCell("a"), RawCell("t", 4)], [RawCell("b", 1, 3)], [RawCell("c", 2, 2), RawCell("d")], []]),
+        RowBuffer([[RawCell("x"), RawCell("x"), RawCell("t", 3, 2)], [RawCell("y")], [RawCell("z", 1, 4), RawCell("w", 1, 2)]]),
+        RowBuffer([[RawCell(""), RawCell("t", 3)], [RawCell("u", 2, 3), RawCell("")], [RawCell(""), RawCell(""), RawCell("v", 1, 2)]]),
+    ]
     for buffer in buffers:
         for tolerant in (False, True):
             for skip_occupied in (False, True):

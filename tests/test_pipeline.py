@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -26,6 +27,7 @@ from tablekit.pipeline import (
     dataset_stats,
     load_corpus,
 )
+from tablekit.render import default_style_ranges
 
 import oracles
 
@@ -122,6 +124,17 @@ def test_config_rejects_bad_shapes(tmp_path):
     {"raster_dpi": "x"},
     {"multiturn_fraction": {}},
     {"qa_pairs_path": 5},
+    # integer keys take JSON integers only
+    {"master_seed": 3.7},
+    {"master_seed": float("inf")},
+    {"master_seed": "7"},
+    {"counts": {"tsd": [True, 1.9]}},
+    {"raster_dpi": False},
+    {"tce_cells_per_sample": 2.0},
+    # weights are finite, >= 0 and sum to 1
+    {"tr_format_weights": {"html": 1.5, "markdown": -0.5, "latex": 0}},
+    {"tr_format_weights": {"html": float("nan")}},
+    {"style_mix": {"web_page": float("nan")}},
 ])  # fmt: skip
 def test_synth_reports_a_wrongly_typed_config_value(tmp_path, capsys, extra):
     key = next(iter(extra))
@@ -362,9 +375,8 @@ def test_dataset_stats_matches_manifest(tmp_path):
     assert stats["per_task"] == manifest["counts"]
     assert stats["style_mix"] == manifest["style_mix_achieved"]
     assert stats["tr_format_mix"] == manifest["tr_format_mix_achieved"]
-    assert stats["samples"] == sum(
-        1 for _ in (tmp_path / "out" / "samples.jsonl").open()
-    )
+    with (tmp_path / "out" / "samples.jsonl").open(encoding="utf-8") as lines:
+        assert stats["samples"] == sum(1 for _ in lines)
     assert stats["request_tokens_avg"] > 0
     assert stats["table_rows"]["min"] >= 1
 
@@ -537,13 +549,33 @@ def test_cli_render_png_dpi_is_the_config_raster_dpi_unless_given(tmp_path, monk
     assert seen == [150, 300, 96]
 
 
-def test_invalid_table_file_is_a_parse_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"n_rows": 2, "n_cols": 2, "anchors": [{"row": 1, "col": 1}]}))
-    with pytest.raises(ParseError, match="invalid table: gap at"):
+# table files that no reader can take, each with what the error says about it
+_BAD_TABLE_FILES = {
+    "gap.json": (json.dumps({"n_rows": 2, "n_cols": 2, "anchors": [{"row": 1, "col": 1}]}), "invalid table: gap at"),
+    "no-anchors.json": ('{"n_rows": 1}', "malformed table object"),
+    "list.json": ("[1, 2]", "table JSON must be an object"),
+    "cut.json": ("{", "not valid JSON"),
+    "bytes.html": (b"\xff\xfe<table>", "can't decode"),
+    "overlap.html": (
+        '<table><tr><td>a</td><td rowspan="2">b</td></tr><tr><td colspan="2">c</td></tr></table>',
+        "row 2: overlapping span at column 1",
+    ),
+    "nested.html": ("<table><tr><td><table></table></td></tr></table>", "nested table"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_TABLE_FILES))
+def test_invalid_table_file_is_a_parse_error(tmp_path, capsys, name):
+    data, reason = _BAD_TABLE_FILES[name]
+    bad = tmp_path / name
+    bad.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    with pytest.raises(ParseError, match=reason) as caught:
         cmd_convert(bad, TableFormat.HTML)
-    assert main(["convert", str(bad), "--format", "html"]) == 1
-    assert "invalid table" in capsys.readouterr().err
+    assert caught.value.location == str(bad)
+    for args in (["convert", str(bad), "--format", "html"], ["render", str(bad), "--out", str(tmp_path / "o.svg")]):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and reason in err, err
 
 
 def test_cmd_convert_round_trip(tmp_path):
@@ -599,6 +631,59 @@ def test_cli_errors_are_nonzero(tmp_path, capsys):
     capsys.readouterr()
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def _style_ranges_with(**changes) -> str:
+    """The shipped style ranges as JSON, with each key of every family set
+    to the given value, or dropped for None."""
+    ranges = json.loads(json.dumps(default_style_ranges()))
+    for family in ranges["families"].values():
+        for key, value in changes.items():
+            if value is None:
+                del family[key]
+            else:
+                family[key] = value
+    return json.dumps(ranges)
+
+
+_NOT_UTF8 = b'{"\xff": 1}\n'
+_SYNTH = ["synth", "--config", "{config}", "--out", "{out}"]
+
+# input files other than table files that no reader can take: the file's name
+# and bytes, and a command line that reads it ({file}), directly or through
+# the config ({config}, which names qa.json, styles.json and pool.json)
+_BAD_INPUT_FILES = {
+    "eval predictions": ("preds.jsonl", _NOT_UTF8, ["eval", "{file}", "{empty}"]),
+    "eval gold": ("gold.jsonl", _NOT_UTF8, ["eval", "{empty}", "{file}"]),
+    "stats": ("samples.jsonl", _NOT_UTF8, ["stats", "{file}"]),
+    "synth config": ("config.json", _NOT_UTF8, _SYNTH),
+    "render config": ("config.json", _NOT_UTF8, ["render", "{table}", "--out", "{out}", "--config", "{file}"]),
+    "qa pairs": ("qa.json", _NOT_UTF8, _SYNTH),
+    "template pool": ("pool.json", _NOT_UTF8, _SYNTH),
+    "style ranges without font_size": ("styles.json", _style_ranges_with(font_size=None), _SYNTH),
+    "style ranges past what StyleSpec takes": ("styles.json", _style_ranges_with(cell_paddings=[4, 200]), _SYNTH),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUT_FILES))
+def test_an_unreadable_input_file_is_an_error_naming_it(tmp_path, capsys, case):
+    name, data, argv = _BAD_INPUT_FILES[case]
+    _make_corpus(tmp_path, n=4)
+    config = _write_config(
+        tmp_path, COUNTS, qa_pairs_path="qa.json", style_ranges_path="styles.json", template_pool_path="pool.json"
+    )
+    (tmp_path / "qa.json").write_text("[]", encoding="utf-8")
+    pool = resources.files("tablekit.data").joinpath("default_templates.json").read_text(encoding="utf-8")
+    (tmp_path / "pool.json").write_text(pool, encoding="utf-8")
+    (tmp_path / "styles.json").write_text(_style_ranges_with(), encoding="utf-8")
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    bad = tmp_path / name
+    bad.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    paths = {"file": bad, "config": config, "empty": tmp_path / "empty.jsonl",
+             "table": _one_table_file(tmp_path), "out": tmp_path / "out"}  # fmt: skip
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err, err
 
 
 def test_cli_render_and_convert(tmp_path, capsys):
