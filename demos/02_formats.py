@@ -5,7 +5,7 @@ Run: python3 demos/02_formats.py
 
 from __future__ import annotations
 
-from tablekit import TableFormat, UnrepresentableInFormat, convert, parse, serialize
+from tablekit import ParseError, TableFormat, UnrepresentableInFormat, convert, parse, serialize
 
 markdown_src = """\
 | city | population |
@@ -14,9 +14,9 @@ markdown_src = """\
 | Bergen | 291,940 |
 """
 
-# parse() is strict: it returns the canonical table plus diagnostics.
-table, diag = parse(markdown_src, TableFormat.MARKDOWN)
-print(f"parsed {table.n_rows}x{table.n_cols} table, recovered={diag.recovered}")
+# parse() is strict: it returns the canonical table plus its warnings.
+table, warnings = parse(markdown_src, TableFormat.MARKDOWN)
+print(f"parsed {table.n_rows}x{table.n_cols} table, warnings={warnings}")
 
 # serialize() emits canonical text; every format round-trips its own output.
 for fmt in TableFormat:
@@ -39,7 +39,17 @@ try:
 except UnrepresentableInFormat as exc:
     print(f"markdown refuses merged cells: {exc}")
 
-# convert() is the tolerant path used when scoring model output: anything
-# that fails to parse becomes the sentinel empty table instead of an error.
-html, conv = convert("no table here at all", TableFormat.MARKDOWN)
-print(f"\njunk converts to sentinel: {html!r} (recovered={conv.recovered})")
+# convert() is a tolerant parse followed by serialize() to HTML: text that
+# holds no table becomes the sentinel empty table instead of an error, and
+# the warnings say why.
+html, warnings = convert("no table here at all", TableFormat.MARKDOWN)
+print(f"\njunk converts to sentinel: {html!r} (warnings={warnings})")
+
+# Both readers hold a table to 512 rows x 512 columns: strict parse() refuses
+# a larger one, the tolerant one cuts it to the limit.
+wide = '<table><tr><td colspan="100000">a</td></tr></table>'
+try:
+    parse(wide, TableFormat.HTML)
+except ParseError as exc:
+    print(f"strict parse refuses it: {exc}")
+print(f"convert cuts it: {convert(wide, TableFormat.HTML)[0]}")

@@ -26,6 +26,13 @@ from .pipeline import (
 from .render import RasterizerUnavailable
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tablekit",
@@ -37,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--config", required=True, help="pipeline config JSON")
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--seed", type=int, default=None, help="override the master seed")
-    synth.add_argument("--workers", type=int, default=1, help="render worker processes")
+    synth.add_argument("--workers", type=_positive_int, default=1, help="render processes, at most one per CPU")
 
     evalp = sub.add_parser("eval", help="score a predictions file against gold samples")
     evalp.add_argument("predictions", help="predictions JSONL")
@@ -53,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     render.add_argument("--seed", type=int, default=0, help="style draw seed")
     render.add_argument("--format", choices=("svg", "png"), default="svg")
     render.add_argument(
-        "--dpi", type=int, default=None, help="raster dpi (default: the config's raster_dpi, or 96)"
+        "--dpi", type=_positive_int, default=None, help="raster dpi (default: the config's raster_dpi, or 96)"
     )
     render.add_argument("--config", default=None, help="pipeline config JSON (style + rasterizer)")
 

@@ -3,7 +3,8 @@
 A table is a rectangular grid of n_rows x n_cols positions, 1-based.
 Every grid position is covered by exactly one anchor cell; an anchor
 occupies the rectangle [row, row + row_span) x [col, col + col_span).
-Empty content is a real cell, not a missing one.
+Empty content is a real cell, not a missing one. A grid is at most
+MAX_ROWS x MAX_COLS positions, the one size limit of every table.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
+
+MAX_ROWS = 512
+MAX_COLS = 512
 
 
 class InvalidTable(ValueError):
@@ -100,12 +104,17 @@ def validate(table: Table) -> ValidationVerdict:
 
     Anchors are placed in their given order, so the first overlapping
     grid position and the first uncovered position are deterministic.
+    A grid past MAX_ROWS x MAX_COLS is refused before anything is allocated.
     A valid verdict carries the expanded Grid.
     """
     if table.n_rows < 1:
         return ValidationVerdict(False, f"n_rows must be >= 1, got {table.n_rows}")
     if table.n_cols < 1:
         return ValidationVerdict(False, f"n_cols must be >= 1, got {table.n_cols}")
+    if table.n_rows > MAX_ROWS or table.n_cols > MAX_COLS:
+        return ValidationVerdict(
+            False, f"grid {table.n_rows}x{table.n_cols} exceeds the {MAX_ROWS}x{MAX_COLS} limit"
+        )
     matrix: list[list[AnchorCell | None]] = [[None] * table.n_cols for _ in range(table.n_rows)]
     for a in table.anchors:
         pos = CellRef(a.row, a.col)

@@ -5,7 +5,7 @@ pads ragged right edges, recording a warning.  parse_tolerant() is the
 tolerant route: it extracts the table portion from surrounding junk, repairs
 spans and raggedness, and returns a valid Table or None instead of raising.
 convert() is parse_tolerant() followed by serialize_html(), with the sentinel
-empty table and recovered=False for unrecoverable input.
+empty table for unrecoverable input; each also returns the warnings.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 from ..core import Table, expand_grid
 from .common import (
     SENTINEL_HTML,
-    ParseDiagnostics,
     ParseError,
     TableFormat,
     UnrepresentableInFormat,
@@ -27,7 +26,6 @@ from .markdown import parse_markdown, serialize_markdown
 
 __all__ = [
     "TableFormat",
-    "ParseDiagnostics",
     "ParseError",
     "UnsupportedConstruct",
     "UnrepresentableInFormat",
@@ -81,10 +79,9 @@ def sniff_format(table_text: str) -> TableFormat:
     return TableFormat.MARKDOWN
 
 
-def parse(src: str, fmt: TableFormat) -> tuple[Table, ParseDiagnostics]:
-    """Strict parse of one table in the given format."""
-    table, warnings = _PARSERS[fmt](src, tolerant=False)
-    return table, ParseDiagnostics(warnings=tuple(warnings))
+def parse(src: str, fmt: TableFormat) -> tuple[Table, list[str]]:
+    """Strict parse of one table in the given format, with its warnings."""
+    return _PARSERS[fmt](src, tolerant=False)
 
 
 def serialize(table: Table, fmt: TableFormat) -> str:
@@ -105,14 +102,15 @@ def parse_tolerant(src: str, fmt: TableFormat) -> tuple[Table | None, list[str]]
     return table, warnings
 
 
-def convert(src: str, from_fmt: TableFormat) -> tuple[str, ParseDiagnostics]:
-    """Tolerant conversion of possibly messy input into canonical HTML.
+def convert(src: str, from_fmt: TableFormat) -> tuple[str, list[str]]:
+    """Tolerant conversion of possibly messy input into canonical HTML, with
+    the warnings; SENTINEL_HTML exactly when no table was recovered.
 
     Idempotent on its own output. Never raises on string input.
     """
     if not isinstance(src, str):
-        return SENTINEL_HTML, ParseDiagnostics(("input is not text",), recovered=False)
+        return SENTINEL_HTML, ["input is not text"]
     table, warnings = parse_tolerant(src, from_fmt)
     if table is None:
-        return SENTINEL_HTML, ParseDiagnostics(tuple(warnings) + ("no table recovered",), recovered=False)
-    return serialize_html(table), ParseDiagnostics(tuple(warnings), recovered=True)
+        return SENTINEL_HTML, warnings + ["no table recovered"]
+    return serialize_html(table), warnings

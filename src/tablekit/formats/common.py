@@ -5,14 +5,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..core import AnchorCell, Table
+from ..core import MAX_COLS, MAX_ROWS, AnchorCell, Table
 
 SENTINEL_HTML = "<table></table>"
-
-# tolerant-mode guard rails so arbitrary junk can never allocate huge grids
-MAX_SPAN = 1000
-MAX_ROWS = 512
-MAX_COLS = 512
 
 
 class TableFormat(enum.Enum):
@@ -23,7 +18,7 @@ class TableFormat(enum.Enum):
 
 class ParseError(ValueError):
     """Strict parsing failed: unbalanced structure, unfixable raggedness,
-    or span attributes that break the tiling."""
+    span attributes that break the tiling, or a table past the size limit."""
 
     def __init__(self, location: str, reason: str):
         self.location = location
@@ -37,12 +32,6 @@ class UnsupportedConstruct(ParseError):
 
 class UnrepresentableInFormat(ValueError):
     """The table cannot be expressed in the requested format."""
-
-
-@dataclass(frozen=True)
-class ParseDiagnostics:
-    warnings: tuple[str, ...] = ()
-    recovered: bool = True
 
 
 @dataclass
@@ -96,14 +85,16 @@ def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -
     overlaps.
 
     Strict mode raises ParseError for spans below 1 or past the last row, for
-    placeholder collisions, for a cell that had to slide and for interior
-    gaps; tolerant mode repairs each of them.  Ragged right edges are padded
-    with empty cells and recorded as warnings in both modes, and a buffer
-    with no rows is a ParseError in both.
+    placeholder collisions, for a cell that had to slide, for interior gaps
+    and for a table past MAX_ROWS x MAX_COLS; tolerant mode repairs each of
+    them.  No position past the limit is ever marked.  Ragged right edges are
+    padded with empty cells and recorded as warnings in both modes, and a
+    buffer with no rows is a ParseError in both.
     """
     rows = buffer.rows
     warn = buffer.warnings
-    if tolerant and len(rows) > MAX_ROWS:
+    if len(rows) > MAX_ROWS:
+        refuse(tolerant, "table", f"more than {MAX_ROWS} rows")
         warn.append(f"table truncated to {MAX_ROWS} rows")
         rows = rows[:MAX_ROWS]
     n_rows = len(rows)
@@ -123,9 +114,6 @@ def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -
                 refuse(tolerant, f"row {r}", f"span must be >= 1 at column {c}")
                 row_span = max(1, row_span)
                 col_span = max(1, col_span)
-            if tolerant:
-                row_span = min(row_span, MAX_SPAN)
-                col_span = min(col_span, MAX_SPAN)
 
             if skip_occupied:
                 while (r, c) in occupied:
@@ -140,15 +128,18 @@ def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -
             if row_span > n_rows - r + 1:
                 refuse(tolerant, f"row {r}", f"row span runs past the last row at column {c}")
                 row_span = n_rows - r + 1
-            free = _free_column(occupied, r, c, col_span)
+            # no position right of MAX_COLS is ever occupied, so the window
+            # up to it finds the same column as the whole span
+            free = _free_column(occupied, r, c, min(col_span, MAX_COLS - c + 1))
             if free != c:
                 refuse(tolerant, f"row {r}", f"overlapping span at column {c}")
                 c = free
-            if tolerant and c + col_span - 1 > MAX_COLS:
-                col_span = max(1, MAX_COLS - c + 1)
+            if c + col_span - 1 > MAX_COLS:
+                refuse(tolerant, f"row {r}", f"cells beyond column {MAX_COLS}")
                 if c > MAX_COLS:
                     warn.append(f"cells beyond column {MAX_COLS} dropped")
                     break
+                col_span = MAX_COLS - c + 1
             anchor = AnchorCell(r, c, row_span, col_span, cell.content, cell.is_header)
             anchors.append(anchor)
             for rr in range(r, r + row_span):

@@ -60,10 +60,7 @@ class _TableHTMLParser(HTMLParser):
                 except (TypeError, ValueError):
                     self._repair(f"unreadable {name}={value!r}", f"unreadable {name} ignored")
                     return 1
-                if span < 1:
-                    refuse(self.tolerant, self._loc(), f"{name} must be >= 1, got {span}")
-                    return 1
-                return span
+                return span  # assemble refuses or repairs a span below 1
         return 1
 
     def _close_cell(self) -> None:

@@ -13,7 +13,6 @@ from .evaluate import (
     score_rce,
     score_sample,
     score_set_f1,
-    score_tr,
     score_tsd,
 )
 from .extraction import ExtractionResult, ExtractionStatus, extract_json_answer
@@ -43,7 +42,6 @@ __all__ = [
     "score_rce",
     "score_sample",
     "score_set_f1",
-    "score_tr",
     "score_tsd",
     "ExtractionResult",
     "ExtractionStatus",

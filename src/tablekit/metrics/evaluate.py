@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..formats import parse_tolerant, sniff_format
+from ..formats import sniff_format
 from ..formats.common import TableFormat
 from ..numeric import left_sum
 from ..taskdefs import TaskKind
 from .bleu import bleu
 from .extraction import ExtractionResult, ExtractionStatus, extract_json_answer
-from .teds import html_to_tree, table_to_tree, teds, teds_of_trees
+from .teds import teds
 
 
 class FileFormatError(ValueError):
@@ -156,18 +156,6 @@ def score_rce(payload: object, gold: Mapping) -> float:
         pred_set = _line_set(pred_lines.get(str(key)))
         scores.append(score_set_f1(pred_set, gold_set)[2])
     return _mean(scores)
-
-
-def score_tr(pred_text: object, pred_fmt: TableFormat, gold_html: str) -> float:
-    """TEDS of the prediction, parsed tolerantly in its format, against the
-    gold HTML, parsed as teds parses HTML (html_to_tree), so one repair
-    policy holds for both sides.
-
-    An unrecoverable prediction gives the sentinel table's tree, which
-    scores near zero but never crashes.
-    """
-    pred_tree = table_to_tree(parse_tolerant(str(pred_text), pred_fmt)[0])
-    return teds_of_trees(pred_tree, html_to_tree(gold_html))
 
 
 _NUMERIC = re.compile(r"-?\d[\d,]*(?:\.\d+)?\s*%?")

@@ -13,12 +13,12 @@ Levenshtein distance of their contents divided by the longer length
 A tree is built from a parsed Table (table_to_tree). Table text becomes a
 tree by the package's tolerant parser for its format
 (formats.parse_tolerant) followed by table_to_tree, so teds (which the tr
-scorer of evaluate calls) and score_tr repair sloppy text the same way:
-ragged rows are padded, spans are clamped to the grid and to the parser's
-size limits, and a nested HTML table is flattened into its cell. Two equal
-strings give identical trees, and identical trees are at distance exactly
-0, so teds returns 1.0 for equal strings without building the trees, and
-tree_edit_distance returns 0.0 for equal trees without running the DP.
+scorer of evaluate calls) repairs sloppy text the same way in each format:
+ragged rows are padded, spans are clamped to the grid and the grid to
+MAX_ROWS x MAX_COLS, and a nested HTML table is flattened into its cell.
+Two equal strings give identical trees, and identical trees are at distance
+exactly 0, so teds returns 1.0 for equal strings without building the trees,
+and tree_edit_distance returns 0.0 for equal trees without running the DP.
 
 tree_edit_distance is exact on any pair of trees. It runs the DP in a band
 of postorder indices that it widens until the result proves itself exact
@@ -32,9 +32,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from ..core import InvalidTable, Table, expand_grid
+from ..core import Table, checked
 from ..formats import parse_tolerant
-from ..formats.common import MAX_SPAN, TableFormat
+from ..formats.common import TableFormat
 
 
 @dataclass
@@ -60,20 +60,17 @@ def html_to_tree(html: str) -> TreeNode:
 
 def table_to_tree(table: Table | None) -> TreeNode:
     """The canonical tree of a table: one tr per grid row, holding the
-    anchors whose top-left corner is in it; th becomes td; spans are
-    clamped to MAX_SPAN; cell text is whitespace-collapsed; the caption is
-    dropped. None or an invalid table gives the single-node tree of the
+    anchors whose top-left corner is in it; th becomes td; cell text is
+    whitespace-collapsed; the caption is dropped. None or an invalid table,
+    a grid past the size limit too, gives the single-node tree of the
     sentinel table."""
-    if table is None:
-        return TreeNode("table")
-    try:
-        grid = expand_grid(table)
-    except InvalidTable:
+    grid = None if table is None else checked(table).grid
+    if grid is None:
         return TreeNode("table")
     rows = []
     for r in range(1, table.n_rows + 1):
         cells = [
-            TreeNode("td", " ".join(a.content.split()), min(a.col_span, MAX_SPAN), min(a.row_span, MAX_SPAN))
+            TreeNode("td", " ".join(a.content.split()), a.col_span, a.row_span)
             for a in grid.row_anchors(r)
         ]
         rows.append(TreeNode("tr", children=cells))

@@ -181,6 +181,19 @@ def _int(value: object) -> int:
     return value
 
 
+def _number(value: object) -> float:
+    """A JSON number, integer or not; a boolean or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _positive_int(value: object) -> int:
+    if _int(value) < 1:
+        raise ValueError(f"expected an integer >= 1, got {value!r}")
+    return value
+
+
 def _counts(value: object) -> dict[str, tuple[int, int]] | None:
     if value is None:
         return None
@@ -196,7 +209,7 @@ def _weights(value: object) -> object:
     """The weights as written, for the manifest echo, once each reads as a number."""
     if value is not None:
         for weight in value.values():
-            float(weight)
+            _number(weight)
     return value
 
 
@@ -216,13 +229,13 @@ _COERCE = {
     "tce_cells_per_sample": _int,
     "tcl_cells_per_sample": _int,
     "tr_format_weights": _weights,
-    "multiturn_fraction": float,
+    "multiturn_fraction": _number,
     "style_mix": _weights,
     "style_ranges_path": _path,
     "template_pool_path": _path,
     "qa_pairs_path": _path,
     "rasterizer_command": _path,
-    "raster_dpi": _int,
+    "raster_dpi": _positive_int,
 }
 
 
@@ -320,8 +333,9 @@ def _render_job(table_id: str) -> str:
 
 
 def _render_all(jobs: dict[str, RenderJob], workers: int) -> list[str]:
-    """The sha256 of each job's SVG, in the order of jobs."""
-    if workers <= 1 or len(jobs) < 2:
+    """Each job's SVG sha256, in job order, from at most one process per job and CPU."""
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [_write_svg(*job) for job in jobs.values()]
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_set_worker_jobs, initargs=(jobs,)

@@ -757,7 +757,8 @@ def wrap_text(text: str, font_family: str, font_size_pt: int | float, max_width:
 # grid placement: the package's former assemble, which decides whether an
 # uncovered position is an interior gap by scanning the rest of its row
 # (O(rows x cols^2) padding), kept as the reference for the one-mark-per-row
-# padding; it reads the package's types and limits, and places cells with the
+# padding; it reads the package's types and limits (strict mode refuses a
+# table past them, tolerant mode cuts it), and places cells with the
 # former free-column search, which checks every row a cell spans, where the
 # package's checks row r alone
 # ---------------------------------------------------------------------------
@@ -766,7 +767,6 @@ from tablekit.core import AnchorCell, Table  # noqa: E402
 from tablekit.formats.common import (  # noqa: E402
     MAX_COLS,
     MAX_ROWS,
-    MAX_SPAN,
     ParseError,
     RowBuffer,
 )
@@ -786,7 +786,9 @@ def _free_column(occupied: dict, r: int, c: int, row_span: int, col_span: int) -
 def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -> Table:
     rows = buffer.rows
     warn = buffer.warnings
-    if tolerant and len(rows) > MAX_ROWS:
+    if len(rows) > MAX_ROWS:
+        if not tolerant:
+            raise ParseError("table", f"more than {MAX_ROWS} rows")
         warn.append(f"table truncated to {MAX_ROWS} rows")
         rows = rows[:MAX_ROWS]
     n_rows = len(rows)
@@ -803,8 +805,8 @@ def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -
             row_span = cell.row_span
             col_span = cell.col_span
             if tolerant:
-                row_span = max(1, min(row_span, MAX_SPAN))
-                col_span = max(1, min(col_span, MAX_SPAN))
+                row_span = max(1, row_span)
+                col_span = max(1, col_span)
             elif row_span < 1 or col_span < 1:
                 raise ParseError(f"row {r}", f"span must be >= 1 at column {c}")
 
@@ -827,7 +829,9 @@ def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -
                 c = _free_column(occupied, r, c, row_span, col_span)
             elif col_span > 1 and any((r, cc) in occupied for cc in range(c + 1, c + col_span)):
                 raise ParseError(f"row {r}", f"overlapping span at column {c}")
-            if tolerant and c + col_span - 1 > MAX_COLS:
+            if c + col_span - 1 > MAX_COLS:
+                if not tolerant:
+                    raise ParseError(f"row {r}", f"cells beyond column {MAX_COLS}")
                 col_span = max(1, MAX_COLS - c + 1)
                 if c > MAX_COLS:
                     warn.append(f"cells beyond column {MAX_COLS} dropped")

@@ -32,6 +32,7 @@ from oracles import (
     position_map,
     random_table_dict,
 )
+from scaling import growth_ratio
 
 
 def t(n_rows, n_cols, anchors, caption=None):
@@ -81,6 +82,21 @@ def test_validate_rejects_out_of_bounds_span():
     assert not verdict.ok
     assert "bounds" in verdict.problem
     assert verdict.position == CellRef(2, 2)
+
+
+def test_validate_refuses_a_grid_past_the_size_limit_before_allocating_it():
+    assert validate(Table(core.MAX_ROWS, core.MAX_COLS, (AnchorCell(1, 1, core.MAX_ROWS, core.MAX_COLS),)))
+    for n_rows, n_cols in ((core.MAX_ROWS + 1, 1), (1, core.MAX_COLS + 1)):
+        verdict = validate(Table(n_rows, n_cols, (AnchorCell(1, 1, n_rows, n_cols),)))
+        assert verdict.problem == f"grid {n_rows}x{n_cols} exceeds the 512x512 limit"
+
+    # the refusal reads the declared size only: a grid 16 times the area
+    # costs no more to refuse
+    def make(n: int) -> Table:
+        return Table(n, n, (AnchorCell(1, 1, n, n),))
+
+    ratio = growth_ratio(validate, make, 2_000, repeat=9)
+    assert ratio < 2, ratio
 
 
 def test_expand_grid_resolves_spanned_positions_to_anchor():

@@ -39,14 +39,14 @@ def anchor_map(table: Table) -> dict:
 
 
 def test_parse_html_rowspan():
-    table, diag = parse('<table><tr><td rowspan="2">a</td><td>b</td></tr><tr><td>c</td></tr></table>', HTML)
+    table, warnings = parse('<table><tr><td rowspan="2">a</td><td>b</td></tr><tr><td>c</td></tr></table>', HTML)
     assert (table.n_rows, table.n_cols) == (2, 2)
     cells = anchor_map(table)
     assert cells[(1, 1)].row_span == 2 and cells[(1, 1)].content == "a"
     assert cells[(1, 2)].content == "b"
     assert cells[(2, 2)].content == "c"
     assert (2, 1) not in cells  # covered by the rowspan
-    assert diag.warnings == ()
+    assert warnings == []
 
 
 def test_parse_html_thead_th_and_caption():
@@ -64,9 +64,9 @@ def test_parse_html_decodes_entities():
 
 
 def test_parse_html_strips_unknown_tags_with_warning():
-    table, diag = parse("<table><tr><td><b>bold</b> text</td></tr></table>", HTML)
+    table, warnings = parse("<table><tr><td><b>bold</b> text</td></tr></table>", HTML)
     assert table.anchors[0].content == "bold text"
-    assert any("<b>" in w for w in diag.warnings)
+    assert any("<b>" in w for w in warnings)
 
 
 def test_parse_html_errors():
@@ -93,10 +93,10 @@ def test_parse_html_span_running_into_a_rowspan_is_an_error():
 
 
 def test_parse_html_pads_ragged_rows_with_warning():
-    table, diag = parse("<table><tr><td>a</td><td>b</td></tr><tr><td>c</td></tr></table>", HTML)
+    table, warnings = parse("<table><tr><td>a</td><td>b</td></tr><tr><td>c</td></tr></table>", HTML)
     assert (table.n_rows, table.n_cols) == (2, 2)
     assert anchor_map(table)[(2, 2)].content == ""
-    assert any("padded" in w for w in diag.warnings)
+    assert any("padded" in w for w in warnings)
 
 
 def test_parse_html_interior_gap_is_an_error():
@@ -320,34 +320,29 @@ def test_crlf_text_parses_as_lf_text():
 
 
 def test_convert_ragged_markdown():
-    html, diag = convert("| a | b |\n|---|\n| c |", MD)
+    html, _ = convert("| a | b |\n|---|\n| c |", MD)
     assert html == "<table><tr><th>a</th><th>b</th></tr><tr><td>c</td><td></td></tr></table>"
-    assert diag.recovered
 
 
 def test_convert_drops_surrounding_junk():
-    html, diag = convert("Sure! Here is the table:\n| x |\n| --- |\n| 1 |\nHope this helps.", MD)
+    html, _ = convert("Sure! Here is the table:\n| x |\n| --- |\n| 1 |\nHope this helps.", MD)
     assert html == "<table><tr><th>x</th></tr><tr><td>1</td></tr></table>"
-    assert diag.recovered
 
-    html2, diag2 = convert("intro <table><tr><td>1</td></tr></table> outro", HTML)
+    html2, _ = convert("intro <table><tr><td>1</td></tr></table> outro", HTML)
     assert html2 == "<table><tr><td>1</td></tr></table>"
-    assert diag2.recovered
 
-    html3, diag3 = convert("see below \\begin{tabular}{c} 5 \\\\ \\end{tabular} done", TEX)
+    html3, _ = convert("see below \\begin{tabular}{c} 5 \\\\ \\end{tabular} done", TEX)
     assert html3 == "<table><tr><td>5</td></tr></table>"
-    assert diag3.recovered
 
 
 def test_convert_unrecoverable_returns_sentinel():
     for fmt in (HTML, MD, TEX):
-        html, diag = convert("nothing table-like here", fmt)
+        html, _ = convert("nothing table-like here", fmt)
         assert html == SENTINEL_HTML
-        assert not diag.recovered
-    html, diag = convert("", HTML)
-    assert html == SENTINEL_HTML and not diag.recovered
-    html, diag = convert("<table></table>", HTML)
-    assert html == SENTINEL_HTML and not diag.recovered
+    html, _ = convert("", HTML)
+    assert html == SENTINEL_HTML
+    html, _ = convert("<table></table>", HTML)
+    assert html == SENTINEL_HTML
 
 
 @pytest.mark.parametrize("src, fmt, reason", [
@@ -360,28 +355,26 @@ def test_tolerant_parse_of_text_with_no_table_is_none_with_the_reason(src, fmt, 
     table, warnings = parse_tolerant(src, fmt)
     assert table is None
     assert any(reason in w for w in warnings), warnings
-    html, diag = convert(src, fmt)
-    assert html == SENTINEL_HTML and not diag.recovered
-    assert any(reason in w for w in diag.warnings), diag.warnings
+    html, warnings = convert(src, fmt)
+    assert html == SENTINEL_HTML
+    assert any(reason in w for w in warnings), warnings
 
 
 def test_convert_repairs_broken_spans():
-    html, diag = convert('<table><tr><td rowspan="9">a</td><td>b</td></tr><tr><td>c</td></tr></table>', HTML)
+    html, _ = convert('<table><tr><td rowspan="9">a</td><td>b</td></tr><tr><td>c</td></tr></table>', HTML)
     assert html == '<table><tr><td rowspan="2">a</td><td>b</td></tr><tr><td>c</td></tr></table>'
-    assert diag.recovered
 
 
 def test_convert_slides_a_cell_past_every_position_it_would_overlap():
     # c's second column is covered by b's row span: c moves right whole
     src = '<table><tr><td>a</td><td rowspan="3">b</td></tr><tr><td colspan="2">c</td></tr></table>'
-    html, diag = convert(src, HTML)
-    assert diag.recovered
+    html, warnings = convert(src, HTML)
     assert html == (
         '<table><tr><td>a</td><td rowspan="2">b</td><td></td><td></td></tr>'
         '<tr><td></td><td colspan="2">c</td></tr></table>'
     )
     tex = "\\begin{tabular}{cc}\na & \\multirow{2}{*}{b} \\\\\n\\multicolumn{2}{c}{c} \\\\\n\\end{tabular}"
-    assert convert(tex, TEX) == (html, diag)
+    assert convert(tex, TEX) == (html, warnings)
 
 
 _EDIT_CHARS = '<>/"=&{}\\|123 trdspanclow'
@@ -417,9 +410,8 @@ def test_convert_and_tr_scoring_survive_edited_span_tables():
 
 
 def test_convert_flattens_nested_tables():
-    html, diag = convert("<table><tr><td><table><tr><td>x</td></tr></table></td></tr></table>", HTML)
+    html, _ = convert("<table><tr><td><table><tr><td>x</td></tr></table></td></tr></table>", HTML)
     assert html == "<table><tr><td>x</td></tr></table>"
-    assert diag.recovered
 
 
 def test_block_tags_and_nested_cells_break_lines_in_a_cell():
@@ -506,9 +498,39 @@ def test_assemble_padding_grows_linearly_with_row_length(tolerant):
 
 
 def test_convert_caps_absurd_spans():
-    html, diag = convert('<table><tr><td colspan="999999">a</td></tr></table>', HTML)
-    assert diag.recovered
+    html, _ = convert('<table><tr><td colspan="999999">a</td></tr></table>', HTML)
     assert 'colspan="512"' in html
+
+
+def test_strict_parse_refuses_a_table_past_the_size_limit():
+    tall = "".join(f"<tr><td>{i}</td></tr>" for i in range(MAX_ROWS + 1))
+    with pytest.raises(ParseError, match="^table: more than 512 rows$"):
+        parse(f"<table>{tall}</table>", HTML)
+    table, warnings = parse_tolerant(f"<table>{tall}</table>", HTML)
+    assert table.n_rows == MAX_ROWS and warnings == ["table truncated to 512 rows"]
+    wide = "".join(f"<td>{i}</td>" for i in range(MAX_COLS + 1))
+    with pytest.raises(ParseError, match="^row 1: cells beyond column 512$"):
+        parse(f"<table><tr>{wide}</tr></table>", HTML)
+    # at the limit, a table is read as it is
+    table, _ = parse(f"<table><tr><td colspan=\"{MAX_COLS}\">a</td></tr></table>", HTML)
+    assert (table.n_rows, table.n_cols) == (1, MAX_COLS)
+
+
+@pytest.mark.parametrize("fmt, make", [
+    (HTML, lambda n: f'<table><tr><td colspan="{n}">a</td></tr></table>'),
+    (TEX, lambda n: f"\\begin{{tabular}}{{c}}\n\\multicolumn{{{n}}}{{c}}{{a}} \\\\\n\\end{{tabular}}"),
+], ids=["html", "latex"])  # fmt: skip
+def test_strict_refusal_of_a_span_past_the_limit_does_not_grow_with_the_span(fmt, make):
+    def read(text: str) -> None:
+        try:
+            parse(text, fmt)
+        except ParseError as exc:
+            assert str(exc) == "row 1: cells beyond column 512"
+        else:
+            raise AssertionError("a span past the limit was read")
+
+    ratio = growth_ratio(read, make, 20_000, repeat=9)
+    assert ratio < 2, ratio
 
 
 def test_convert_idempotent():
@@ -521,10 +543,9 @@ def test_convert_idempotent():
         cases.append(("noise\n" + md + "\nmore noise", MD))
     cases.extend([("random garbage $%#", HTML), ("", MD), ("| a | b", MD)])
     for src, fmt in cases:
-        once, d1 = convert(src, fmt)
-        twice, d2 = convert(once, HTML)
-        assert twice == once
-        assert d1.recovered == d2.recovered or d1.recovered  # sentinel stays sentinel
+        once, _ = convert(src, fmt)
+        twice, _ = convert(once, HTML)
+        assert twice == once  # the sentinel too converts to itself
 
 
 def test_convert_never_raises_on_noise():
@@ -533,7 +554,7 @@ def test_convert_never_raises_on_noise():
         blob = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 120)))
         text = blob.decode("latin-1")
         for fmt in (HTML, MD, TEX):
-            html, diag = convert(text, fmt)
+            html, _ = convert(text, fmt)
             assert isinstance(html, str)
             assert html.startswith("<table")
 
@@ -569,10 +590,10 @@ def test_sniff_format_pipe_table_whose_cells_hold_tabular_is_markdown():
 ])
 def test_an_unclosed_caption_ends_where_the_rows_start(rows):
     src = f"<table><caption>t{rows}</table>"
-    table, diag = parse(src, HTML)
+    table, warnings = parse(src, HTML)
     assert table.caption == "t"
     assert [a.content for a in table.anchors] == ["a", "b"]
-    assert diag.warnings == ()
-    html, diag = convert(src, HTML)
+    assert warnings == []
+    html, warnings = convert(src, HTML)
     assert html == "<table><caption>t</caption><tr><td>a</td><td>b</td></tr></table>"
-    assert diag.recovered and diag.warnings == ()
+    assert warnings == []

@@ -28,7 +28,6 @@ from tablekit.metrics.evaluate import (
     score_rce,
     score_sample,
     score_set_f1,
-    score_tr,
     score_tsd,
 )
 from tablekit.metrics import extraction
@@ -489,12 +488,11 @@ def test_table_to_tree_equals_html_to_tree_of_serialize_html():
         table = table_from_dict(data)
         assert table_to_tree(table) == oracles.html_to_tree(serialize_html(table))
         assert table_to_tree(table) == html_to_tree(serialize_html(table))
-    wide = Table(1, 1200, (AnchorCell(1, 1, col_span=1200, content="wide"),))
-    assert table_to_tree(wide) == oracles.html_to_tree(serialize_html(wide))
-    assert table_to_tree(wide).children[0].children[0].colspan == 1000
     sentinel = oracles.html_to_tree(SENTINEL_HTML)
     assert sentinel == TreeNode("table")
     assert table_to_tree(None) == sentinel
+    # a grid past the table model's size limit is not a valid table
+    assert table_to_tree(Table(1, 1200, (AnchorCell(1, 1, col_span=1200, content="wide"),))) == sentinel
     gap = Table(2, 2, (AnchorCell(1, 1, content="only one cell"),))
     assert table_to_tree(gap) == sentinel
 
@@ -519,7 +517,6 @@ def test_tr_scoring_from_parsed_tables_equals_convert_then_full_teds():
         else:
             want = 1.0 - oracles.tree_edit_distance(t1, t2) / max(tree_size(t1), tree_size(t2))
         assert teds(pred_text, gold_text, fmt) == want, (fmt, pred_text)
-        assert score_tr(pred_text, fmt, gold_html) == want
         assert table_to_tree(parse_tolerant(pred_text, fmt)[0]) == t1
 
 
@@ -531,9 +528,9 @@ _SLOPPY_HTML = [
 ]
 
 
-def test_teds_score_tr_and_eval_score_html_alike():
-    """teds, score_tr and the tr scorer of score_sample repair HTML with one
-    parser, so they give one score for one prediction."""
+def test_teds_and_eval_score_html_alike():
+    """teds and the tr scorer of score_sample repair HTML with one parser,
+    so they give one score for one prediction."""
     cases = [(h, _SLOPPY_GOLD) for h in _SLOPPY_HTML]
     rng = random.Random(727)
     for _ in range(200):
@@ -541,7 +538,6 @@ def test_teds_score_tr_and_eval_score_html_alike():
         cases.append((_char_edits(rng, gold, rng.randint(1, 8)), gold))
     for h, g in cases:
         want = teds(h, g)
-        assert score_tr(h, TableFormat.HTML, g) == want, h
         assert score_sample(TaskKind.TR, h, {"answer": g}, "html")["teds"] == want, h
     assert teds(_SLOPPY_HTML[0], _SLOPPY_GOLD) == 1.0
     assert teds(_SLOPPY_HTML[2], _SLOPPY_GOLD) == 1.0 - 3 / 7
@@ -942,7 +938,7 @@ def test_score_rce_lines():
     assert score_rce({"lines": {2: ["a", "b"], 4: ["c", "d"]}}, gold) == 1.0
 
 
-def test_score_tr_round_trip_and_garbage():
+def test_teds_round_trip_and_garbage():
     table = table_from_dict(
         {
             "n_rows": 2,
@@ -957,11 +953,11 @@ def test_score_tr_round_trip_and_garbage():
         }
     )
     md = serialize(table, TableFormat.MARKDOWN)
-    gold_html, _ = convert(md, TableFormat.MARKDOWN)
-    assert score_tr(md, TableFormat.MARKDOWN, gold_html) == 1.0
-    # markerless junk hits the conversion sentinel: 1 / |gold tree|
-    n = tree_size(html_to_tree(gold_html))
-    got = score_tr("no markers in this text", TableFormat.MARKDOWN, gold_html)
+    assert teds(md, md, TableFormat.MARKDOWN) == 1.0
+    assert score_sample(TaskKind.TR, "Here:\n" + md, {"answer": md}, "markdown")["teds"] == 1.0
+    # markerless junk gives the sentinel tree: 1 / |gold tree|
+    n = tree_size(table_to_tree(table))
+    got = teds("no markers in this text", md, TableFormat.MARKDOWN)
     assert abs(got - 1.0 / n) < 1e-12
 
 

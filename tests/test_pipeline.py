@@ -135,6 +135,15 @@ def test_config_rejects_bad_shapes(tmp_path):
     {"tr_format_weights": {"html": 1.5, "markdown": -0.5, "latex": 0}},
     {"tr_format_weights": {"html": float("nan")}},
     {"style_mix": {"web_page": float("nan")}},
+    # number keys and weights take JSON numbers only, and a dpi is >= 1
+    {"multiturn_fraction": True},
+    {"multiturn_fraction": "0.5"},
+    {"tr_format_weights": {"html": True, "markdown": 0, "latex": 0}},
+    {"tr_format_weights": {"html": "1", "markdown": 0, "latex": 0}},
+    {"style_mix": {"web_page": True, "excel": 0, "markdown": 0}},
+    {"style_mix": {"web_page": "1", "excel": 0, "markdown": 0}},
+    {"raster_dpi": 0},
+    {"raster_dpi": -96},
 ])  # fmt: skip
 def test_synth_reports_a_wrongly_typed_config_value(tmp_path, capsys, extra):
     key = next(iter(extra))
@@ -183,12 +192,17 @@ def test_load_corpus_skips_malformed_and_counts(tmp_path):
         encoding="utf-8",
     )
     (corpus / "notes.txt").write_text("ignored, not a table extension", encoding="utf-8")
+    oversize = ("wide.html", "wide.tex", "tall.md", "huge.json")  # past the size limit
+    for name in oversize:
+        (corpus / name).write_text(_BAD_TABLE_FILES[name][0], encoding="utf-8")
     load = load_corpus(corpus)
     assert len(load.tables) == 4
-    assert load.skipped_count == 3
+    assert load.skipped_count == 7
     reasons = {path.rsplit("/", 1)[-1]: reason for path, reason in load.skipped}
-    assert set(reasons) == {"broken.html", "broken.json", "badgrid.json"}
+    assert set(reasons) == {"broken.html", "broken.json", "badgrid.json", *oversize}
     assert reasons["badgrid.json"].endswith("invalid table: gap at (1,2)")
+    for name in oversize:
+        assert reasons[name] == f"{corpus / name}: {_BAD_TABLE_FILES[name][1]}", reasons[name]
 
 
 def test_load_corpus_deduplicates_stems(tmp_path):
@@ -274,6 +288,52 @@ def test_cmd_synth_identical_across_worker_counts(tmp_path):
     assert [p.name for p in imgs1] == [p.name for p in imgs2]
     for p1, p2 in zip(imgs1, imgs2):
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_cmd_synth_starts_at_most_one_render_process_per_job_and_cpu(tmp_path, monkeypatch):
+    # a stand-in pool records the process count it is asked for and maps in
+    # this process, so no worker process is ever started
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            asked.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(pipeline, "_worker_jobs", {})
+    _make_corpus(tmp_path, n=6)
+    config = PipelineConfig.from_file(_write_config(tmp_path, {"tsd": [3, 0]}))
+    cmd_synth(config, tmp_path / "serial", workers=1)
+    for cpus, want in ((None, []), (2, [2]), (64, [3])):
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+        asked.clear()
+        cmd_synth(config, tmp_path / f"cpus{cpus}", workers=50)
+        assert asked == want, cpus
+        for rel in ("manifest.json", "samples.jsonl"):
+            assert (tmp_path / f"cpus{cpus}" / rel).read_bytes() == (tmp_path / "serial" / rel).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--config", "c.json", "--out", "o", "--workers", "0"],
+    ["synth", "--config", "c.json", "--out", "o", "--workers", "-2"],
+    ["render", "t.json", "--out", "t.png", "--dpi", "0"],
+    ["render", "t.json", "--out", "t.png", "--dpi", "-96"],
+])  # fmt: skip
+def test_cli_count_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_cmd_synth_reused_out_keeps_only_listed_images(tmp_path):
@@ -561,6 +621,14 @@ _BAD_TABLE_FILES = {
         "row 2: overlapping span at column 1",
     ),
     "nested.html": ("<table><tr><td><table></table></td></tr></table>", "nested table"),
+    # past the table model's size limit, however little text declares it
+    "wide.html": ('<table><tr><td colspan="10000000">a</td></tr></table>', "row 1: cells beyond column 512"),
+    "wide.tex": ("\\begin{tabular}{c}\n\\multicolumn{10000000}{c}{a} \\\\\n\\end{tabular}", "row 1: cells beyond column 512"),
+    "tall.md": ("| h |\n| --- |\n" + "| x |\n" * 512, "table: more than 512 rows"),
+    "huge.json": (
+        json.dumps({"n_rows": 100000, "n_cols": 100000, "anchors": [{"row": 1, "col": 1, "row_span": 100000, "col_span": 100000}]}),
+        "invalid table: grid 100000x100000 exceeds the 512x512 limit",
+    ),
 }
 
 
