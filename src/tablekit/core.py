@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
+from .numeric import json_int
+
 MAX_ROWS = 512
 MAX_COLS = 512
 
@@ -198,25 +200,50 @@ def table_to_dict(table: Table) -> dict[str, Any]:
     return out
 
 
-def table_from_dict(data: dict[str, Any]) -> Table:
+# the JSON types of table fields that are not integers (numeric.json_int)
+_JSON_TYPES = {"a string": str, "a boolean": bool, "a string or null": (str, type(None))}
+_REQUIRED = object()
+
+
+def _read(obj: dict[str, Any], key: str, kind: str, default: Any = _REQUIRED) -> Any:
+    """obj[key], or the default when key is absent and one is given, if it
+    has the JSON type kind: "an integer" or a key of _JSON_TYPES."""
+    value = obj[key] if default is _REQUIRED else obj.get(key, default)
     try:
+        if kind == "an integer":
+            return json_int(value)
+        if isinstance(value, _JSON_TYPES[kind]):
+            return value
+        raise TypeError(f"expected {kind}, got {value!r}")
+    except TypeError as exc:
+        raise TypeError(f"{key}: {exc}") from None
+
+
+def table_from_dict(data: dict[str, Any]) -> Table:
+    """A table from its JSON object, with the JSON types as written: integers,
+    never booleans, for sizes, positions and spans; a string for content; a
+    boolean for is_header; a string or null for caption and source_id.
+    Anything else raises InvalidTable("malformed table object: ...")."""
+    try:
+        if not isinstance(data["anchors"], list) or not all(isinstance(a, dict) for a in data["anchors"]):
+            raise TypeError("anchors: expected a list of objects")
         anchors = tuple(
             AnchorCell(
-                row=int(a["row"]),
-                col=int(a["col"]),
-                row_span=int(a.get("row_span", 1)),
-                col_span=int(a.get("col_span", 1)),
-                content=str(a.get("content", "")),
-                is_header=bool(a.get("is_header", False)),
+                row=_read(a, "row", "an integer"),
+                col=_read(a, "col", "an integer"),
+                row_span=_read(a, "row_span", "an integer", 1),
+                col_span=_read(a, "col_span", "an integer", 1),
+                content=_read(a, "content", "a string", ""),
+                is_header=_read(a, "is_header", "a boolean", False),
             )
             for a in data["anchors"]
         )
         return Table(
-            n_rows=int(data["n_rows"]),
-            n_cols=int(data["n_cols"]),
+            n_rows=_read(data, "n_rows", "an integer"),
+            n_cols=_read(data, "n_cols", "an integer"),
             anchors=anchors,
-            caption=data.get("caption"),
-            source_id=data.get("source_id"),
+            caption=_read(data, "caption", "a string or null", None),
+            source_id=_read(data, "source_id", "a string or null", None),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidTable(f"malformed table object: {exc}") from exc

@@ -1,7 +1,14 @@
-"""One rounding policy for float sums, so outputs match on every Python."""
+"""Shared number rules: float sums that match on every Python, JSON integers."""
 
 import math
 from typing import Iterable, Mapping
+
+
+def json_int(value: object) -> int:
+    """A JSON integer as written; a float, a boolean or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def left_sum(values: Iterable[float], start: float = 0.0) -> float:

@@ -33,6 +33,7 @@ from .metrics.evaluate import (
     _read_jsonl,
     evaluate,
 )
+from .numeric import json_int
 from .render import (
     DEFAULT_STYLE_MIX,
     CommandRasterizer,
@@ -174,13 +175,6 @@ class PipelineConfig:
         return raw
 
 
-def _int(value: object) -> int:
-    """A JSON integer as written; a float, a boolean or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
 def _number(value: object) -> float:
     """A JSON number, integer or not; a boolean or a string is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -189,7 +183,7 @@ def _number(value: object) -> float:
 
 
 def _positive_int(value: object) -> int:
-    if _int(value) < 1:
+    if json_int(value) < 1:
         raise ValueError(f"expected an integer >= 1, got {value!r}")
     return value
 
@@ -201,7 +195,7 @@ def _counts(value: object) -> dict[str, tuple[int, int]] | None:
     for name, pair in value.items():
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"counts[{name!r}] must be [train, eval]")
-        counts[str(name)] = (_int(pair[0]), _int(pair[1]))
+        counts[str(name)] = (json_int(pair[0]), json_int(pair[1]))
     return counts
 
 
@@ -224,10 +218,10 @@ def _path(value: object) -> str | None:
 # of a key whose default is None
 _COERCE = {
     "corpus_dir": str,
-    "master_seed": _int,
+    "master_seed": json_int,
     "counts": _counts,
-    "tce_cells_per_sample": _int,
-    "tcl_cells_per_sample": _int,
+    "tce_cells_per_sample": json_int,
+    "tcl_cells_per_sample": json_int,
     "tr_format_weights": _weights,
     "multiturn_fraction": _number,
     "style_mix": _weights,
@@ -282,26 +276,29 @@ def _load_table_file(path: Path, source_id: str | None = None) -> Table:
 def load_corpus(corpus_dir: str | Path) -> CorpusLoad:
     """Reads every recognized table file under the directory, recursively.
 
-    Files are visited in sorted path order; table ids come from file stems
-    (deduplicated with a numeric suffix); malformed files are skipped and
-    reported, never fatal.
+    Files are visited in sorted path order; a table's id is its file stem,
+    or, when an earlier table holds that id, the stem with the first free
+    suffix -2, -3, ...; malformed files are skipped and reported, never fatal.
     """
     root = Path(corpus_dir)
     if not root.is_dir():
         raise PipelineConfigError(f"corpus directory not found: {root}")
     tables: list[Table] = []
     skipped: list[tuple[str, str]] = []
-    seen_ids: dict[str, int] = {}
+    taken: set[str] = set()
+    resume: dict[str, int] = {}  # per stem, the suffix below which every id is taken
     paths = sorted(p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in _CORPUS_SUFFIXES)
     for path in paths:
-        stem = path.stem
-        n = seen_ids.get(stem, 0) + 1
+        n = resume.get(path.stem, 1)
+        while (table_id := path.stem if n == 1 else f"{path.stem}-{n}") in taken:
+            n += 1
+        resume[path.stem] = n
         try:
-            table = _load_table_file(path, stem if n == 1 else f"{stem}-{n}")
+            table = _load_table_file(path, table_id)
         except Exception as exc:  # malformed corpus entries must never abort the run
             skipped.append((str(path), str(exc)))
             continue
-        seen_ids[stem] = n
+        taken.add(table_id)
         tables.append(table)
     return CorpusLoad(tables=tables, skipped=skipped)
 

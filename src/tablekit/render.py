@@ -349,7 +349,10 @@ _SVG_SIZE = re.compile(r'<svg[^>]*\swidth="(\d+)"\s+height="(\d+)"')
 
 
 def raster_dimensions(svg_text: str, dpi: int) -> tuple[int, int]:
-    """Pixel dimensions of the raster output: ceil(css_size * dpi / 96)."""
+    """Pixel dimensions of the raster output: ceil(css_size * dpi / 96).
+    A dpi below 1 raises ValueError; every raster path comes through here."""
+    if dpi < 1:
+        raise ValueError(f"dpi must be >= 1, got {dpi}")
     m = _SVG_SIZE.search(svg_text)
     if not m:
         raise ValueError("svg has no width/height attributes")

@@ -372,15 +372,19 @@ def synthesize(
     count cannot be met (empty pool, or no table satisfies a task's
     precondition), never padded. QA pairs reference tables by id; when
     the config has no explicit QA_WRAP count every usable pair is wrapped.
+    A table id (source_id, else table-<index>) given twice raises ValueError.
     """
     config = config if config is not None else SynthConfig()
     pool = pool if pool is not None else default_pool()
     style_mix = style_mix if style_mix is not None else DEFAULT_STYLE_MIX
 
-    prepared: list[tuple[str, Table]] = []
+    table_by_id: dict[str, Table] = {}
     for i, table in enumerate(tables):
-        prepared.append((table.source_id or f"table-{i:05d}", table))
-    train_pool, eval_pool = partition_tables(prepared, config)
+        table_id = table.source_id or f"table-{i:05d}"
+        if table_id in table_by_id:
+            raise ValueError(f"table id {table_id!r} is repeated")
+        table_by_id[table_id] = table
+    train_pool, eval_pool = partition_tables(list(table_by_id.items()), config)
     pools = {"train": train_pool, "eval": eval_pool}
 
     styles: dict[str, StyleSpec] = {}
@@ -453,7 +457,6 @@ def synthesize(
             if made < count:
                 shortfalls[f"{task.value}-{split}"] = count - made
 
-    table_by_id = dict(prepared)
     train_ids = {tid for tid, _ in train_pool}
     qa_split: dict[str, list[tuple[str, str, str]]] = {"train": [], "eval": []}
     qa_skipped = 0

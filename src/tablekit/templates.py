@@ -8,6 +8,7 @@ substituting the task inputs into the template placeholders.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -15,8 +16,9 @@ import subprocess
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
-from .taskdefs import OPTIONAL_PLACEHOLDERS, REQUIRED_PLACEHOLDERS, TaskKind, allowed_placeholders
+from .taskdefs import REQUIRED_PLACEHOLDERS, TaskKind, allowed_placeholders
 
 
 class PoolFormatError(ValueError):
@@ -59,102 +61,85 @@ class FormatHint:
     body: str
 
 
-# last-resort wording used when a programmatically built pool is empty for a task
-_FALLBACK_TEMPLATES: dict[TaskKind, str] = {
-    TaskKind.TSD: "Inspect the table in the image and report how many rows and how many columns it contains.",
-    TaskKind.TCE: "Read the table in the image and extract the contents of these cells: {cells}.",
-    TaskKind.TCL: "Find where the following values are located in the pictured table: {cells}.",
-    TaskKind.MCD: "Decide whether the table in the image contains merged cells, and if it does, identify every merged region.",
-    TaskKind.RCE: "Transcribe every cell of {cells} from the table shown in the image.",
-    TaskKind.TR: "Write out the complete structure and contents of the pictured table as {format_name}.",
-    TaskKind.QA_WRAP: "Use the table in the image to answer the question below.\n{question}",
-}
-
-_FALLBACK_HINTS: dict[TaskKind, str] = {
-    TaskKind.TSD: 'Reply with a JSON object of the form {"row_number": <int>, "column_number": <int>} and nothing else.',
-    TaskKind.TCE: 'Reply with JSON shaped like {"cells": [{"position": [<row>, <column>], "value": "<cell text>"}]}, one entry per requested cell, in the order asked.',
-    TaskKind.TCL: 'Reply with JSON shaped like {"cells": [{"value": "<cell text>", "position": [<row>, <column>]}]}, one entry per requested value, in the order asked.',
-    TaskKind.MCD: 'Reply with JSON of the form {"has_merged": <true|false>, "regions": [[[<top row>, <left column>], [<bottom row>, <right column>]], ...]}; use an empty list when nothing is merged.',
-    TaskKind.RCE: 'Reply with JSON of the form {"axis": "<row|column>", "lines": {"<index>": ["<cell text>", ...]}} covering each requested line in full.',
-    TaskKind.TR: 'Reply with JSON of the form {"answer": "<the whole table transcribed in the requested format>"}.',
-    TaskKind.QA_WRAP: 'Reply with JSON of the form {"answer": <your final answer>} and no other text.',
-}
-
-
 @dataclass(frozen=True)
 class TemplatePool:
+    """Entries per task; a task the pool has none of draws from default_pool()."""
+
     templates: dict[TaskKind, tuple[Template, ...]] = field(default_factory=dict)
     hints: dict[TaskKind, tuple[FormatHint, ...]] = field(default_factory=dict)
 
     def templates_for(self, task: TaskKind) -> tuple[Template, ...]:
-        entries = self.templates.get(task, ())
-        if not entries:
-            return (Template(f"fallback-{task.value}", task, _FALLBACK_TEMPLATES[task]),)
-        return entries
+        return self.templates.get(task) or default_pool().templates[task]
 
     def hints_for(self, task: TaskKind) -> tuple[FormatHint, ...]:
-        entries = self.hints.get(task, ())
-        if not entries:
-            return (FormatHint(f"fallback-hint-{task.value}", task, _FALLBACK_HINTS[task]),)
-        return entries
+        return self.hints.get(task) or default_pool().hints[task]
 
 
-def _validate_template(entry: Template) -> None:
-    allowed = allowed_placeholders(entry.task)
-    used = entry.placeholders()
-    unknown = used - allowed
+def _placeholder_problem(template: Template) -> str | None:
+    used = template.placeholders()
+    unknown = used - allowed_placeholders(template.task)
     if unknown:
-        raise PoolFormatError(
-            f"template {entry.id!r} uses placeholders {sorted(unknown)} not defined for task {entry.task.value}"
-        )
-    missing = REQUIRED_PLACEHOLDERS[entry.task] - used
+        return f"template {template.id!r} uses placeholders {sorted(unknown)} not defined for task {template.task.value}"
+    missing = REQUIRED_PLACEHOLDERS[template.task] - used
     if missing:
-        raise PoolFormatError(
-            f"template {entry.id!r} is missing required placeholders {sorted(missing)} for task {entry.task.value}"
-        )
+        return f"template {template.id!r} is missing required placeholders {sorted(missing)} for task {template.task.value}"
+    return None
+
+
+_TASK_NAMES = frozenset(task.value for task in TaskKind)
+
+
+def _read_entries(
+    kind: type[Template] | type[FormatHint], task_name: str, entries: list, seen: set[str]
+) -> Iterator[tuple[str, Template | FormatHint | PoolFormatError]]:
+    """The one reader of pool entries, for pool files and expansions alike.
+
+    Yields (label, entry) for each entry of a task's list, in order, or
+    (label, error) for an entry it refuses: an entry of an unknown task, one
+    whose 'id' or 'body' is not a JSON string, one whose id is in seen
+    (DuplicateId), or a template with placeholders its task lacks or does
+    not define. The label is the entry's id once its id and body read, else
+    "<task>[<i>]". The id of each entry it accepts joins seen."""
+    for i, raw in enumerate(entries):
+        if task_name not in _TASK_NAMES:
+            yield f"{task_name}[{i}]", PoolFormatError(f"unknown task {task_name!r}")
+        elif not (isinstance(raw, dict) and isinstance(raw.get("id"), str) and isinstance(raw.get("body"), str)):
+            yield f"{task_name}[{i}]", PoolFormatError("entry needs 'id' and 'body' strings")
+        elif raw["id"] in seen:
+            yield raw["id"], DuplicateId("duplicate id")
+        else:
+            entry = kind(raw["id"], TaskKind(task_name), raw["body"])
+            problem = _placeholder_problem(entry) if kind is Template else None
+            if problem is None:
+                seen.add(entry.id)
+            yield entry.id, entry if problem is None else PoolFormatError(problem)
 
 
 def _build_pool(data: dict) -> TemplatePool:
     if not isinstance(data, dict) or "templates" not in data or "hints" not in data:
         raise PoolFormatError("pool must be an object with 'templates' and 'hints' sections")
-    templates: dict[TaskKind, list[Template]] = {}
-    hints: dict[TaskKind, list[FormatHint]] = {}
-    seen_template_ids: set[str] = set()
-    seen_hint_ids: set[str] = set()
-    for section, sink, seen, factory in (
-        ("templates", templates, seen_template_ids, Template),
-        ("hints", hints, seen_hint_ids, FormatHint),
-    ):
-        body = data[section]
-        if not isinstance(body, dict):
+    sections: dict[str, dict] = {}
+    for section, kind in (("templates", Template), ("hints", FormatHint)):
+        if not isinstance(data[section], dict):
             raise PoolFormatError(f"'{section}' must map task names to entry lists")
-        for task_name, entries in body.items():
-            try:
-                task = TaskKind(task_name)
-            except ValueError:
-                raise PoolFormatError(f"unknown task {task_name!r} in '{section}'")
+        sink = sections[section] = {}
+        seen: set[str] = set()
+        for task_name, entries in data[section].items():
+            if task_name not in _TASK_NAMES:  # refused even when its list is empty
+                raise PoolFormatError(f"{section}: unknown task {task_name!r}")
             if not isinstance(entries, list):
                 raise PoolFormatError(f"'{section}.{task_name}' must be a list")
-            for raw in entries:
-                if not isinstance(raw, dict) or "id" not in raw or "body" not in raw:
-                    raise PoolFormatError(f"entries in '{section}.{task_name}' need 'id' and 'body'")
-                entry_id = str(raw["id"])
-                if entry_id in seen:
-                    raise DuplicateId(f"duplicate {section[:-1]} id {entry_id!r}")
-                seen.add(entry_id)
-                entry = factory(entry_id, task, str(raw["body"]))
-                if isinstance(entry, Template):
-                    _validate_template(entry)
-                sink.setdefault(task, []).append(entry)
+            read = []
+            for label, entry in _read_entries(kind, task_name, entries, seen):
+                if isinstance(entry, PoolFormatError):
+                    raise type(entry)(f"{section} {label}: {entry}")
+                read.append(entry)
+            sink[TaskKind(task_name)] = tuple(read)
     for task in TaskKind:
-        if not templates.get(task):
-            raise MissingMandatoryDefault(f"no templates for built-in task {task.value}")
-        if not hints.get(task):
-            raise MissingMandatoryDefault(f"no hints for built-in task {task.value}")
-    return TemplatePool(
-        templates={t: tuple(v) for t, v in templates.items()},
-        hints={t: tuple(v) for t, v in hints.items()},
-    )
+        for section, sink in sections.items():
+            if not sink.get(task):
+                raise MissingMandatoryDefault(f"no {section} for built-in task {task.value}")
+    return TemplatePool(**sections)
 
 
 def load_pool(path: str | Path) -> TemplatePool:
@@ -165,16 +150,11 @@ def load_pool(path: str | Path) -> TemplatePool:
     return _build_pool(data)
 
 
-_default_pool_cache: TemplatePool | None = None
-
-
+@functools.cache
 def default_pool() -> TemplatePool:
     """The shipped pool: at least 20 templates and 5 hints per task."""
-    global _default_pool_cache
-    if _default_pool_cache is None:
-        text = resources.files("tablekit.data").joinpath("default_templates.json").read_text()
-        _default_pool_cache = _build_pool(json.loads(text))
-    return _default_pool_cache
+    text = resources.files("tablekit.data").joinpath("default_templates.json").read_text(encoding="utf-8")
+    return _build_pool(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -190,9 +170,9 @@ def expand_pool(pool: TemplatePool, command: str, timeout: float = 60.0) -> Expa
     The command receives the current templates as JSON on standard input,
     shaped {"templates": {"<task>": [{"id": ..., "body": ...}, ...]}}, and
     must print candidate templates in the same shape on standard output.
-    Candidates go through the same placeholder validation as pool files;
-    entries that fail it (or reuse an id) are dropped and reported in
-    `rejected`, never raised. Hints are not expanded. The command crashing,
+    Candidates are read by the reader of pool files; an entry it refuses is
+    dropped and reported in `rejected` with the reason a pool file raises,
+    never raised. Hints are not expanded. The command crashing,
     timing out, or printing something other than the expected JSON raises
     PoolExpansionError.
     """
@@ -229,35 +209,16 @@ def expand_pool(pool: TemplatePool, command: str, timeout: float = 60.0) -> Expa
     for task_name, entries in data["templates"].items():
         if not isinstance(entries, list):
             raise PoolExpansionError(f"'templates.{task_name}' must be a list")
-        for i, raw in enumerate(entries):
-            label = f"{task_name}[{i}]"
-            try:
-                task = TaskKind(task_name)
-            except ValueError:
-                rejected.append((label, f"unknown task {task_name!r}"))
-                continue
-            if not isinstance(raw, dict) or "id" not in raw or "body" not in raw:
-                rejected.append((label, "entry needs 'id' and 'body'"))
-                continue
-            entry = Template(str(raw["id"]), task, str(raw["body"]))
-            if entry.id in seen_ids:
-                rejected.append((entry.id, "duplicate id"))
-                continue
-            try:
-                _validate_template(entry)
-            except PoolFormatError as exc:
-                rejected.append((entry.id, str(exc)))
-                continue
-            seen_ids.add(entry.id)
-            accepted.append(entry)
+        for label, entry in _read_entries(Template, task_name, entries, seen_ids):
+            if isinstance(entry, PoolFormatError):
+                rejected.append((label, str(entry)))
+            else:
+                accepted.append(entry)
 
     merged: dict[TaskKind, list[Template]] = {t: list(v) for t, v in pool.templates.items()}
     for entry in accepted:
         merged.setdefault(entry.task, []).append(entry)
-    new_pool = TemplatePool(
-        templates={t: tuple(v) for t, v in merged.items()},
-        hints=pool.hints,
-    )
+    new_pool = TemplatePool({t: tuple(v) for t, v in merged.items()}, pool.hints)
     return ExpansionResult(new_pool, tuple(accepted), tuple(rejected))
 
 

@@ -193,15 +193,16 @@ def test_load_corpus_skips_malformed_and_counts(tmp_path):
     )
     (corpus / "notes.txt").write_text("ignored, not a table extension", encoding="utf-8")
     oversize = ("wide.html", "wide.tex", "tall.md", "huge.json")  # past the size limit
-    for name in oversize:
+    mistyped = ("caption.json", "float-row.json", "string-header.json", "bool-rows.json")
+    for name in oversize + mistyped:
         (corpus / name).write_text(_BAD_TABLE_FILES[name][0], encoding="utf-8")
     load = load_corpus(corpus)
     assert len(load.tables) == 4
-    assert load.skipped_count == 7
+    assert load.skipped_count == 11
     reasons = {path.rsplit("/", 1)[-1]: reason for path, reason in load.skipped}
-    assert set(reasons) == {"broken.html", "broken.json", "badgrid.json", *oversize}
+    assert set(reasons) == {"broken.html", "broken.json", "badgrid.json", *oversize, *mistyped}
     assert reasons["badgrid.json"].endswith("invalid table: gap at (1,2)")
-    for name in oversize:
+    for name in oversize + mistyped:
         assert reasons[name] == f"{corpus / name}: {_BAD_TABLE_FILES[name][1]}", reasons[name]
 
 
@@ -220,6 +221,29 @@ def test_load_corpus_deduplicates_stems(tmp_path):
     (corpus / "dup.json").write_text(json.dumps(table_to_dict(table)), encoding="utf-8")
     load = load_corpus(corpus)
     assert sorted(t.source_id for t in load.tables) == ["dup", "dup-2"]
+
+    # a stem whose id a file read earlier holds takes the first free suffix,
+    # so each id, and the image it names, belongs to one table
+    (corpus / "a-2.html").write_text("<table><tr><td>x</td></tr></table>", encoding="utf-8")
+    (corpus / "a.html").write_text("<table><tr><td>y</td></tr><tr><td>z</td></tr></table>", encoding="utf-8")
+    (corpus / "a.md").write_text("| h | i |\n| --- | --- |\n| 1 | 2 |\n| 3 | 4 |\n", encoding="utf-8")
+    load = load_corpus(corpus)
+    assert [t.source_id for t in load.tables] == ["a-2", "a", "a-3", "dup", "dup-2"]
+    sizes = {t.source_id: (t.n_rows, t.n_cols) for t in load.tables}
+    out = tmp_path / "out"
+    cmd_synth(PipelineConfig.from_file(_write_config(tmp_path, {"tsd": [5, 0]})), out)
+    records = [json.loads(line) for line in (out / "samples.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert sorted(r["table_id"] for r in records) == sorted(sizes)
+    assert sorted(p.name for p in (out / "images").glob("*.svg")) == sorted(f"{tid}.svg" for tid in sizes)
+    for record in records:
+        gold = record["gold_answer"]
+        assert (gold["row_number"], gold["column_number"]) == sizes[record["table_id"]]
+
+
+def test_synthesize_refuses_a_repeated_table_id():
+    table = table_from_dict({"n_rows": 1, "n_cols": 1, "anchors": [{"row": 1, "col": 1}], "source_id": "a"})
+    with pytest.raises(ValueError, match="table id 'a' is repeated"):
+        tasks.synthesize([table, table])
 
 
 def test_load_corpus_missing_dir(tmp_path):
@@ -608,6 +632,13 @@ def test_cli_render_png_dpi_is_the_config_raster_dpi_unless_given(tmp_path, monk
     assert main(args) == 0
     assert seen == [150, 300, 96]
 
+    # the library call checks the dpi where the CLI does not reach
+    monkeypatch.undo()
+    png = tmp_path / "zero.png"
+    with pytest.raises(ValueError, match="dpi must be >= 1"):
+        cmd_render(src, png, image_format="png", dpi=0, config=PipelineConfig.from_file(config))
+    assert not png.exists()
+
 
 # table files that no reader can take, each with what the error says about it
 _BAD_TABLE_FILES = {
@@ -628,6 +659,23 @@ _BAD_TABLE_FILES = {
     "huge.json": (
         json.dumps({"n_rows": 100000, "n_cols": 100000, "anchors": [{"row": 1, "col": 1, "row_span": 100000, "col_span": 100000}]}),
         "invalid table: grid 100000x100000 exceeds the 512x512 limit",
+    ),
+    # JSON types are read as written, never coerced
+    "caption.json": (
+        json.dumps({"n_rows": 1, "n_cols": 1, "caption": 5, "anchors": [{"row": 1, "col": 1}]}),
+        "malformed table object: caption: expected a string or null, got 5",
+    ),
+    "float-row.json": (
+        json.dumps({"n_rows": 1, "n_cols": 1, "anchors": [{"row": 1.9, "col": 1}]}),
+        "malformed table object: row: expected an integer, got 1.9",
+    ),
+    "string-header.json": (
+        json.dumps({"n_rows": 1, "n_cols": 1, "anchors": [{"row": 1, "col": 1, "is_header": "false"}]}),
+        "malformed table object: is_header: expected a boolean, got 'false'",
+    ),
+    "bool-rows.json": (
+        json.dumps({"n_rows": True, "n_cols": 1, "anchors": [{"row": 1, "col": 1}]}),
+        "malformed table object: n_rows: expected an integer, got True",
     ),
 }
 

@@ -315,6 +315,17 @@ def test_raster_dimensions_scaling():
     assert raster_dimensions(svg, 100) == (100, 53)  # ceil(50 * 100/96) = ceil(52.08)
 
 
+@pytest.mark.parametrize("dpi", [0, -96])
+def test_a_dpi_below_one_is_refused_before_the_backend_runs(dpi):
+    svg = render_svg(two_by_two(), style())
+    calls = []
+    with pytest.raises(ValueError, match="dpi must be >= 1"):
+        raster_dimensions(svg, dpi)
+    with pytest.raises(ValueError, match="dpi must be >= 1"):
+        rasterize(svg, dpi=dpi, backend=lambda *args: calls.append(args) or b"PNGDATA")
+    assert calls == []
+
+
 def test_rasterize_calls_backend_with_scaled_dims():
     svg = render_svg(two_by_two(), style())
     seen = {}

@@ -136,8 +136,24 @@ def test_empty_pool_serves_fallbacks():
         text = build_request(pool, task, TASK_INPUTS[task], 11)
         assert text.strip()
         assert "{" + "format_hint" + "}" not in text
-    # fallback answers still describe the JSON shape
-    assert "row_number" in build_request(pool, TaskKind.TSD, {}, 2)
+
+
+def test_a_pool_without_a_task_draws_it_from_the_default_pool():
+    task = TaskKind.TCE
+    own = TemplatePool(
+        templates={task: (Template("t1", task, "Extract {cells} now."),), TaskKind.TSD: ()},
+        hints={task: (FormatHint("h1", task, "Answer as JSON."),)},
+    )
+    shipped = default_pool()
+    assert build_request(own, task, TASK_INPUTS[task], 0) == "Extract (1, 2), (2, 1), (3, 3) now.\nAnswer as JSON."
+    for other in TaskKind:
+        if other is task:
+            continue
+        assert own.templates_for(other) == shipped.templates[other]
+        assert own.hints_for(other) == shipped.hints[other]
+        for i in range(20):
+            seed = _seed("partial", i)
+            assert build_request(own, other, TASK_INPUTS[other], seed) == build_request(shipped, other, TASK_INPUTS[other], seed)
 
 
 def _pool_dict() -> dict:
@@ -346,6 +362,46 @@ def test_expand_pool_filters_candidates(tmp_path):
     a = build_request(result.pool, TaskKind.TSD, {}, 7)
     b = build_request(result.pool, TaskKind.TSD, {}, 7)
     assert a == b
+
+
+# one malformed entry each: (task, entry, reason, label in `rejected`)
+_MALFORMED_ENTRIES = {
+    "unknown task": ("zzz", {"id": "x-1", "body": "Do it."}, "unknown task 'zzz'", "zzz[0]"),
+    "integer id": ("tsd", {"id": 7, "body": "Count the rows."}, "entry needs 'id' and 'body' strings", "tsd[0]"),
+    "null body": ("tsd", {"id": "x-1", "body": None}, "entry needs 'id' and 'body' strings", "tsd[0]"),
+    "reused id": ("tsd", {"id": "tsd-t1", "body": "Count the rows."}, "duplicate id", "tsd-t1"),
+    "missing placeholder": (
+        "tce",
+        {"id": "x-1", "body": "Copy out some cells."},
+        "template 'x-1' is missing required placeholders ['cells'] for task tce",
+        "x-1",
+    ),
+    "unknown placeholder": (
+        "tsd",
+        {"id": "x-1", "body": "Report the {bogus}."},
+        "template 'x-1' uses placeholders ['bogus'] not defined for task tsd",
+        "x-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_ENTRIES))
+def test_pool_files_and_expansions_refuse_an_entry_alike(tmp_path, case):
+    task_name, entry, reason, label = _MALFORMED_ENTRIES[case]
+    data = _pool_dict()
+    data["templates"].setdefault(task_name, []).append(entry)
+    with pytest.raises(PoolFormatError) as raised:
+        load_pool(_write(tmp_path, data))
+    assert str(raised.value).endswith(": " + reason)
+    assert isinstance(raised.value, DuplicateId) == (reason == "duplicate id")
+
+    from tablekit.templates import expand_pool
+
+    pool = load_pool(_write(tmp_path, _pool_dict()))
+    output = json.dumps({"templates": {task_name: [entry]}})
+    result = expand_pool(pool, _write_expander(tmp_path, f"print({output!r})\n"))
+    assert result.accepted == ()
+    assert result.rejected == ((label, reason),)
 
 
 def test_expand_pool_command_failures(tmp_path):
