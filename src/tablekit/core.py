@@ -119,16 +119,16 @@ def validate(table: Table) -> ValidationVerdict:
         )
     matrix: list[list[AnchorCell | None]] = [[None] * table.n_cols for _ in range(table.n_rows)]
     for a in table.anchors:
-        pos = CellRef(a.row, a.col)
         if a.row_span < 1 or a.col_span < 1:
-            return ValidationVerdict(False, f"span must be >= 1 at ({a.row},{a.col})", pos)
+            return ValidationVerdict(False, f"span must be >= 1 at ({a.row},{a.col})", CellRef(a.row, a.col))
         if a.row < 1 or a.col < 1:
-            return ValidationVerdict(False, f"anchor outside grid at ({a.row},{a.col})", pos)
-        br = a.bottom_right()
-        if br.row_id > table.n_rows or br.col_id > table.n_cols:
-            return ValidationVerdict(False, f"span exceeds grid bounds at ({a.row},{a.col})", pos)
-        for r in range(a.row, br.row_id + 1):
-            for c in range(a.col, br.col_id + 1):
+            return ValidationVerdict(False, f"anchor outside grid at ({a.row},{a.col})", CellRef(a.row, a.col))
+        last_row = a.row + a.row_span - 1
+        last_col = a.col + a.col_span - 1
+        if last_row > table.n_rows or last_col > table.n_cols:
+            return ValidationVerdict(False, f"span exceeds grid bounds at ({a.row},{a.col})", CellRef(a.row, a.col))
+        for r in range(a.row, last_row + 1):
+            for c in range(a.col, last_col + 1):
                 if matrix[r - 1][c - 1] is not None:
                     return ValidationVerdict(False, f"overlap at ({r},{c})", CellRef(r, c))
                 matrix[r - 1][c - 1] = a

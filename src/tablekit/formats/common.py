@@ -58,17 +58,17 @@ def refuse(tolerant: bool, location: str, reason: str, error: type[ParseError] =
         raise error(location, reason)
 
 
-def _free_column(occupied: dict[tuple[int, int], AnchorCell], r: int, c: int, col_span: int) -> int:
+def _free_column(line: list[AnchorCell | None], c: int, col_span: int) -> int:
     """Leftmost column from c where a cell col_span wide covers no occupied
-    position of row r.
+    position of line, its row's list in assemble's grid.
 
-    Row r is enough for a cell of any row span: cells are placed row by row,
-    left to right, so a position right of the cursor that is occupied in a
-    later row belongs to a span from an earlier row, which covers row r in
-    the same column."""
+    The cell's own row is enough for a cell of any row span: cells are
+    placed row by row, left to right, so a position right of the cursor that
+    is occupied in a later row belongs to a span from an earlier row, which
+    covers this row in the same column."""
     cc = c
-    while cc < c + col_span:
-        if (r, cc) in occupied:
+    while cc < c + col_span and cc <= len(line):
+        if line[cc - 1] is not None:
             c = cc + 1
         cc += 1
     return c
@@ -101,11 +101,11 @@ def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -
     if n_rows == 0:
         raise ParseError("table", "no rows found")
 
-    occupied: dict[tuple[int, int], AnchorCell] = {}
-    anchors: list[AnchorCell] = []
-
-    for r0, row in enumerate(rows):
-        r = r0 + 1
+    # grid[r - 1][c - 1] is the anchor covering (r, c), None where none does;
+    # each row's list ends at its rightmost covered column
+    grid: list[list[AnchorCell | None]] = [[] for _ in rows]
+    for r, row in enumerate(rows, 1):
+        line = grid[r - 1]
         c = 1
         for cell in row:
             row_span = cell.row_span
@@ -116,9 +116,9 @@ def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -
                 col_span = max(1, col_span)
 
             if skip_occupied:
-                while (r, c) in occupied:
+                while c <= len(line) and line[c - 1] is not None:
                     c += 1
-            elif (r, c) in occupied:
+            elif c <= len(line) and line[c - 1] is not None:
                 # LaTeX continuation slot: must hold an empty placeholder
                 if cell.content == "" and row_span == 1:
                     c += col_span
@@ -128,9 +128,7 @@ def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -
             if row_span > n_rows - r + 1:
                 refuse(tolerant, f"row {r}", f"row span runs past the last row at column {c}")
                 row_span = n_rows - r + 1
-            # no position right of MAX_COLS is ever occupied, so the window
-            # up to it finds the same column as the whole span
-            free = _free_column(occupied, r, c, min(col_span, MAX_COLS - c + 1))
+            free = _free_column(line, c, col_span)
             if free != c:
                 refuse(tolerant, f"row {r}", f"overlapping span at column {c}")
                 c = free
@@ -141,34 +139,29 @@ def assemble(buffer: RowBuffer, *, tolerant: bool, skip_occupied: bool = True) -
                     break
                 col_span = MAX_COLS - c + 1
             anchor = AnchorCell(r, c, row_span, col_span, cell.content, cell.is_header)
-            anchors.append(anchor)
-            for rr in range(r, r + row_span):
-                for cc in range(c, c + col_span):
-                    occupied[(rr, cc)] = anchor
+            end = c + col_span - 1
+            for covered in grid[r - 1 : r - 1 + row_span]:
+                covered.extend([None] * (end - len(covered)))
+                covered[c - 1 : end] = [anchor] * col_span
             c += col_span
 
-    # the rightmost covered column of each row; padding only adds positions
-    # left of the ones still to be checked, so it never moves this mark
-    last_covered = [0] * (n_rows + 1)
-    for r, c in occupied:
-        if c > last_covered[r]:
-            last_covered[r] = c
-    n_cols = max(last_covered) or 1
-    # pad uncovered positions: trailing runs are ordinary raggedness, interior
-    # holes are a structural fault in strict mode
+    # pad each row to the widest: trailing runs are ordinary raggedness,
+    # interior holes are a structural fault in strict mode
+    n_cols = max(map(len, grid)) or 1
+    anchors: list[AnchorCell] = []
     padded = False
-    for r in range(1, n_rows + 1):
-        for c in range(1, n_cols + 1):
-            if (r, c) in occupied:
-                continue
-            if c < last_covered[r]:
-                refuse(tolerant, f"row {r}", f"gap at column {c} cannot be padded")
-            anchor = AnchorCell(r, c)
-            anchors.append(anchor)
-            occupied[(r, c)] = anchor
-            padded = True
+    for r, line in enumerate(grid, 1):
+        covered_to = len(line)
+        line.extend([None] * (n_cols - covered_to))
+        for c, anchor in enumerate(line, 1):
+            if anchor is None:
+                if c < covered_to:
+                    refuse(tolerant, f"row {r}", f"gap at column {c} cannot be padded")
+                anchors.append(AnchorCell(r, c))
+                padded = True
+            elif anchor.col == c and anchor.row == r:
+                anchors.append(anchor)
     if padded:
         warn.append("ragged rows padded with empty cells")
 
-    anchors.sort(key=lambda a: (a.row, a.col))
     return Table(n_rows=n_rows, n_cols=n_cols, anchors=tuple(anchors), caption=buffer.caption)

@@ -113,12 +113,12 @@ def parse_latex(src: str, *, tolerant: bool = False) -> tuple[Table, list[str]]:
     begin = re.search(r"\\begin\s*\{tabular\}", cleaned)
     if begin is None:
         raise ParseError("input", "no tabular environment found")
-    if not tolerant:
-        head = cleaned[: begin.start()]
-        if head.strip():
-            raise ParseError("input", "content before \\begin{tabular}")
-        if re.search(r"\\begin\s*\{tabular\}", cleaned[begin.end():]):
-            raise ParseError("input", "more than one tabular environment")
+    if cleaned[: begin.start()].strip():
+        refuse(tolerant, "input", "content before \\begin{tabular}")
+        buffer.warnings.append("content before \\begin{tabular} ignored")
+    if re.search(r"\\begin\s*\{tabular\}", cleaned[begin.end():]):
+        refuse(tolerant, "input", "more than one tabular environment")
+        buffer.warnings.append("only the first tabular environment read")
     try:
         _, body_start = _read_brace_group(cleaned, begin.end())  # column spec, ignored
     except ParseError:
@@ -132,8 +132,9 @@ def parse_latex(src: str, *, tolerant: bool = False) -> tuple[Table, list[str]]:
         body = cleaned[body_start:]
     else:
         body = cleaned[body_start : body_start + end.start()]
-        if not tolerant and cleaned[body_start + end.end():].strip():
-            raise ParseError("input", "content after \\end{tabular}")
+        if cleaned[body_start + end.end():].strip():
+            refuse(tolerant, "input", "content after \\end{tabular}")
+            buffer.warnings.append("content after \\end{tabular} ignored")
 
     body = _RULE.sub(" ", body)
     segments = _ROW_SPLIT.split(body)

@@ -8,6 +8,7 @@ never depends on a native graphics stack.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import random
@@ -76,17 +77,6 @@ DEFAULT_STYLE_MIX = StyleMix(
     {StyleFamily.WEB_PAGE: 0.708, StyleFamily.EXCEL: 0.194, StyleFamily.MARKDOWN: 0.098}
 )
 
-_default_ranges_cache: dict | None = None
-
-
-def default_style_ranges() -> dict:
-    global _default_ranges_cache
-    if _default_ranges_cache is None:
-        text = resources.files("tablekit.data").joinpath("default_styles.json").read_text()
-        _default_ranges_cache = json.loads(text)
-    return _default_ranges_cache
-
-
 # what sample_style reads from a family's ranges: the lists it draws one
 # value from, and the [low, high] integers it draws one integer between, each
 # by the StyleSpec field it fills
@@ -142,6 +132,12 @@ def load_style_ranges(path: str | Path) -> dict:
             raise ValueError(f"style config missing family {fam.value!r}")
         _check_family(fam, data["families"][fam.value])
     return data
+
+
+@functools.cache
+def default_style_ranges() -> dict:
+    """The shipped style ranges, read and checked once."""
+    return load_style_ranges(resources.files("tablekit.data").joinpath("default_styles.json"))
 
 
 def sample_style(mix: StyleMix, seed: int, ranges: dict | None = None) -> StyleSpec:

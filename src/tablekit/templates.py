@@ -167,19 +167,22 @@ class ExpansionResult:
 def expand_pool(pool: TemplatePool, command: str, timeout: float = 60.0) -> ExpansionResult:
     """Grows a pool's template lists through an external command.
 
-    The command receives the current templates as JSON on standard input,
-    shaped {"templates": {"<task>": [{"id": ..., "body": ...}, ...]}}, and
-    must print candidate templates in the same shape on standard output.
+    The command receives the templates each task draws from (templates_for,
+    so the shipped ones for a task the pool leaves out) as JSON on standard
+    input, shaped {"templates": {"<task>": [{"id": ..., "body": ...}, ...]}},
+    and must print candidate templates in the same shape on standard output.
+    The new pool holds those templates and the accepted candidates.
     Candidates are read by the reader of pool files; an entry it refuses is
     dropped and reported in `rejected` with the reason a pool file raises,
     never raised. Hints are not expanded. The command crashing,
     timing out, or printing something other than the expected JSON raises
     PoolExpansionError.
     """
+    current = {task: pool.templates_for(task) for task in TaskKind}
     seed = {
         "templates": {
             task.value: [{"id": t.id, "body": t.body} for t in entries]
-            for task, entries in pool.templates.items()
+            for task, entries in current.items()
         }
     }
     try:
@@ -203,7 +206,7 @@ def expand_pool(pool: TemplatePool, command: str, timeout: float = 60.0) -> Expa
     if not isinstance(data, dict) or not isinstance(data.get("templates"), dict):
         raise PoolExpansionError("expansion output must be an object with a 'templates' map")
 
-    seen_ids = {t.id for entries in pool.templates.values() for t in entries}
+    seen_ids = {t.id for entries in current.values() for t in entries}
     accepted: list[Template] = []
     rejected: list[tuple[str, str]] = []
     for task_name, entries in data["templates"].items():
@@ -215,9 +218,9 @@ def expand_pool(pool: TemplatePool, command: str, timeout: float = 60.0) -> Expa
             else:
                 accepted.append(entry)
 
-    merged: dict[TaskKind, list[Template]] = {t: list(v) for t, v in pool.templates.items()}
+    merged = {task: list(entries) for task, entries in current.items()}
     for entry in accepted:
-        merged.setdefault(entry.task, []).append(entry)
+        merged[entry.task].append(entry)
     new_pool = TemplatePool({t: tuple(v) for t, v in merged.items()}, pool.hints)
     return ExpansionResult(new_pool, tuple(accepted), tuple(rejected))
 

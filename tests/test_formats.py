@@ -165,6 +165,30 @@ def test_parse_latex_errors():
         parse("\\begin{tabular}{c}\\multirow{2}{*}{a} \\\\ boom \\\\\\end{tabular}", TEX)
 
 
+_ONE_CELL = "\\begin{tabular}{c} a \\\\ \\end{tabular}"
+_BEFORE = ("content before \\begin{tabular}", "content before \\begin{tabular} ignored")
+_SECOND = ("more than one tabular environment", "only the first tabular environment read")
+_AFTER = ("content after \\end{tabular}", "content after \\end{tabular} ignored")
+
+
+@pytest.mark.parametrize("src, refusals", [
+    ("junk " + _ONE_CELL, [_BEFORE]),
+    (_ONE_CELL + " tail", [_AFTER]),
+    # a second tabular is also text after the first
+    (_ONE_CELL + " \\begin{tabular}{c} b \\\\ \\end{tabular}", [_SECOND, _AFTER]),
+    ("junk " + _ONE_CELL + " " + _ONE_CELL, [_BEFORE, _SECOND, _AFTER]),
+], ids=["before", "after", "second", "all"])  # fmt: skip
+def test_latex_text_outside_the_tabular_is_refused_or_ignored_with_a_warning(src, refusals):
+    # strict mode raises the first reason; tolerant mode reads the first
+    # tabular and warns once per reason, in the same order
+    with pytest.raises(ParseError) as exc:
+        parse(src, TEX)
+    assert str(exc.value) == f"input: {refusals[0][0]}"
+    table, warnings = parse_tolerant(src, TEX)
+    assert [a.content for a in table.anchors] == ["a"]
+    assert warnings == [warning for _, warning in refusals]
+
+
 def test_parse_latex_bracket_text_after_row_break_is_a_cell():
     table = Table(2, 2, (
         AnchorCell(1, 1, content="a"),

@@ -364,6 +364,33 @@ def test_expand_pool_filters_candidates(tmp_path):
     assert a == b
 
 
+def test_expand_pool_keeps_the_shipped_templates_of_a_task_the_pool_leaves_out(tmp_path):
+    from tablekit.templates import TemplatePool, expand_pool
+
+    shipped = default_pool().templates
+    reused = shipped[TaskKind.TSD][0].id
+    seen = tmp_path / "seen.json"
+    output = json.dumps({"templates": {"tsd": [
+        {"id": "x1", "body": "Count the rows and columns."},
+        {"id": reused, "body": "Count them."},
+    ]}})  # fmt: skip
+    expander = f"import sys\nopen({str(seen)!r}, 'w').write(sys.stdin.read())\nprint({output!r})\n"
+    result = expand_pool(TemplatePool(), _write_expander(tmp_path, expander))
+
+    # the expander sees, and the reader checks ids against, what each task draws
+    sent = json.loads(seen.read_text(encoding="utf-8"))["templates"]
+    assert {task: [t["id"] for t in entries] for task, entries in sent.items()} == {
+        task.value: [t.id for t in shipped[task]] for task in TaskKind
+    }
+    assert result.rejected == ((reused, "duplicate id"),)
+    # the 20 shipped tsd templates plus x1 are drawn; every other task is unchanged
+    drawn = [t.id for t in result.pool.templates_for(TaskKind.TSD)]
+    assert drawn == [t.id for t in shipped[TaskKind.TSD]] + ["x1"] and len(drawn) == 21
+    for task in TaskKind:
+        if task is not TaskKind.TSD:
+            assert result.pool.templates_for(task) == shipped[task]
+
+
 # one malformed entry each: (task, entry, reason, label in `rejected`)
 _MALFORMED_ENTRIES = {
     "unknown task": ("zzz", {"id": "x-1", "body": "Do it."}, "unknown task 'zzz'", "zzz[0]"),
