@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--config", required=True, help="pipeline config JSON")
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--seed", type=int, default=None, help="override the master seed")
-    synth.add_argument("--workers", type=_positive_int, default=1, help="render processes, at most one per CPU")
+    synth.add_argument("--workers", type=_positive_int, default=1, help="synth processes, at most one per usable CPU and per corpus file")
 
     evalp = sub.add_parser("eval", help="score a predictions file against gold samples")
     evalp.add_argument("predictions", help="predictions JSONL")

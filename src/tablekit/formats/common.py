@@ -25,6 +25,11 @@ class ParseError(ValueError):
         self.reason = reason
         super().__init__(f"{location}: {reason}")
 
+    def __reduce__(self):
+        # rebuilt from both arguments, so that one raised in a synth shard
+        # process reaches the caller as itself
+        return type(self), (self.location, self.reason)
+
 
 class UnsupportedConstruct(ParseError):
     """Input uses a construct outside the supported subset (e.g. nested tables)."""

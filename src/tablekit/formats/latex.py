@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 
 from ..core import Table, expand_grid
-from .common import ParseError, RawCell, RowBuffer, assemble, refuse
+from .common import ParseError, RawCell, RowBuffer, UnsupportedConstruct, assemble, refuse
 
 _ESCAPES = {"&": "\\&", "%": "\\%", "#": "\\#", "_": "\\_", "{": "\\{", "}": "\\}"}
 _RULE = re.compile(r"\\(?:hline|toprule|midrule|bottomrule)\b|\\cline\s*\{[^}]*\}")
@@ -107,44 +107,97 @@ def _parse_cell(raw: str, tolerant: bool) -> RawCell:
     return RawCell(content=_unescape(text), row_span=row_span, col_span=col_span)
 
 
+_BEGIN = re.compile(r"\\begin\s*\{tabular\}")
+_ENVIRONMENT = re.compile(r"\\(begin|end)\s*\{tabular\}")
+# a nested tabular's column spec, with one level of inner braces (p{2cm})
+_SPEC = re.compile(r"\{(?:[^{}]|\{[^{}]*\})*\}")
+
+
+def _environment_end(text: str, start: int) -> re.Match | None:
+    """The \\end{tabular} that closes the environment whose body starts at
+    start, past the environments nested in it; None if there is none."""
+    depth = 0
+    for m in _ENVIRONMENT.finditer(text, start):
+        if m.group(1) == "begin":
+            depth += 1
+        elif depth == 0:
+            return m
+        else:
+            depth -= 1
+    return None
+
+
+def _cells(body: str, tolerant: bool) -> list[list[RawCell]]:
+    """The cells of a tabular body free of nested tabulars, row by row."""
+    segments = _ROW_SPLIT.split(_RULE.sub(" ", body))
+    if segments and not segments[-1].strip():
+        segments = segments[:-1]  # after the final row terminator
+    # a whitespace-only interior segment is a real row of one empty cell
+    # (single-column rowspan continuations look exactly like that)
+    return [[_parse_cell(c, tolerant) for c in _split_cells(seg)] for seg in segments]
+
+
+def _flatten(text: str, tolerant: bool, warnings: list[str]) -> str:
+    """A nested tabular, from its \\begin to its \\end, as escaped text for
+    the cell it sits in: each non-empty cell of it, or of a tabular nested
+    in it, one line. One pass, so deep nesting costs what its length does."""
+    pieces: list[str] = []
+    pos = 0
+    while (m := _ENVIRONMENT.search(text, pos)) is not None:
+        pieces += [text[pos : m.start()], " & "]  # an environment's edge ends a cell
+        pos = m.end()
+        if m.group(1) == "begin":
+            refuse(tolerant, "input", "nested tabular environment", UnsupportedConstruct)
+            warnings.append("nested tabular flattened")
+            spec = _SPEC.match(text, pos)
+            pos = spec.end() if spec else pos
+    pieces.append(text[pos:])
+    cells = [c.content for row in _cells("".join(pieces), tolerant) for c in row]
+    return escape_latex("\n".join(c for c in cells if c))
+
+
+def _rows(body: str, tolerant: bool, warnings: list[str]) -> list[list[RawCell]]:
+    """The cells of a tabular body, row by row; a tabular nested in it
+    becomes the text of the cell it sits in (see _flatten)."""
+    parts: list[str] = []
+    pos = 0
+    while (inner := _BEGIN.search(body, pos)) is not None:
+        end = _environment_end(body, inner.end())
+        stop = len(body) if end is None else end.start()
+        parts += [body[pos : inner.start()], _flatten(body[inner.start() : stop], tolerant, warnings)]
+        pos = len(body) if end is None else end.end()
+    return _cells("".join(parts) + body[pos:], tolerant)
+
+
 def parse_latex(src: str, *, tolerant: bool = False) -> tuple[Table, list[str]]:
     buffer = RowBuffer()
     cleaned = _COMMENT.sub("", src)
-    begin = re.search(r"\\begin\s*\{tabular\}", cleaned)
+    begin = _BEGIN.search(cleaned)
     if begin is None:
         raise ParseError("input", "no tabular environment found")
     if cleaned[: begin.start()].strip():
         refuse(tolerant, "input", "content before \\begin{tabular}")
         buffer.warnings.append("content before \\begin{tabular} ignored")
-    if re.search(r"\\begin\s*\{tabular\}", cleaned[begin.end():]):
-        refuse(tolerant, "input", "more than one tabular environment")
-        buffer.warnings.append("only the first tabular environment read")
     try:
         _, body_start = _read_brace_group(cleaned, begin.end())  # column spec, ignored
     except ParseError:
         refuse(tolerant, "input", "missing column spec after \\begin{tabular}")
         buffer.warnings.append("missing column spec")
         body_start = begin.end()
-    end = re.search(r"\\end\s*\{tabular\}", cleaned[body_start:])
+    end = _environment_end(cleaned, body_start)
+    if end is not None and _BEGIN.search(cleaned, end.end()):
+        refuse(tolerant, "input", "more than one tabular environment")
+        buffer.warnings.append("only the first tabular environment read")
     if end is None:
         refuse(tolerant, "input", "missing \\end{tabular}")
         buffer.warnings.append("missing \\end{tabular}")
         body = cleaned[body_start:]
     else:
-        body = cleaned[body_start : body_start + end.start()]
-        if cleaned[body_start + end.end():].strip():
+        body = cleaned[body_start : end.start()]
+        if cleaned[end.end() :].strip():
             refuse(tolerant, "input", "content after \\end{tabular}")
             buffer.warnings.append("content after \\end{tabular} ignored")
-
-    body = _RULE.sub(" ", body)
-    segments = _ROW_SPLIT.split(body)
-    if segments and not segments[-1].strip():
-        segments = segments[:-1]  # after the final row terminator
-    for seg in segments:
-        # a whitespace-only interior segment is a real row of one empty cell
-        # (single-column rowspan continuations look exactly like that)
-        cells = [_parse_cell(c, tolerant) for c in _split_cells(seg)]
-        buffer.rows.append(cells)
+    buffer.rows.extend(_rows(body, tolerant, buffer.warnings))
     return assemble(buffer, tolerant=tolerant, skip_occupied=False), buffer.warnings
 
 

@@ -9,16 +9,16 @@ byte regardless of worker count; the manifest carries no timestamps.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import os
 import shutil
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import __version__
 from .core import InvalidTable, Table, checked, table_from_json
@@ -28,7 +28,6 @@ from .metrics.evaluate import (
     FileFormatError,
     MetricReport,
     _flatten_gold,
-    _GoldRecord,
     _mean,
     _read_jsonl,
     evaluate,
@@ -46,8 +45,11 @@ from .render import (
     sample_style,
 )
 from .taskdefs import TaskKind
-from .tasks import SynthConfig, SynthResult, synthesize
-from .templates import default_pool, load_pool
+from .tasks import Plan, SynthConfig, materialize, plan, unique_cell_count
+from .templates import TemplatePool, default_pool, load_pool
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 
 class PipelineConfigError(ValueError):
@@ -273,49 +275,71 @@ def _load_table_file(path: Path, source_id: str | None = None) -> Table:
     return table
 
 
+def _corpus_paths(corpus_dir: Path) -> list[Path]:
+    """Every recognized table file under the directory, recursively, in sorted order."""
+    if not corpus_dir.is_dir():
+        raise PipelineConfigError(f"corpus directory not found: {corpus_dir}")
+    return sorted(
+        p for p in corpus_dir.rglob("*") if p.is_file() and p.suffix.lower() in _CORPUS_SUFFIXES
+    )
+
+
+class _TableIds:
+    """The id rule for corpus tables, fed the files in sorted path order: a
+    table's id is its file stem, or, when an earlier table holds that id, the
+    stem with the first free suffix -2, -3, ... A file that is skipped takes
+    no id."""
+
+    def __init__(self) -> None:
+        self._taken: set[str] = set()
+        self._resume: dict[str, int] = {}  # per stem, the suffix below which every id is taken
+
+    def next(self, stem: str) -> str:
+        """The id the next file with this stem gets if it is read."""
+        n = self._resume.get(stem, 1)
+        while (table_id := stem if n == 1 else f"{stem}-{n}") in self._taken:
+            n += 1
+        self._resume[stem] = n
+        return table_id
+
+    def take(self, table_id: str) -> None:
+        self._taken.add(table_id)
+
+
+def _read_corpus_file(path: Path, source_id: str | None = None) -> Table | str:
+    """The file's table, or the reason the file is skipped."""
+    try:
+        return _load_table_file(path, source_id)
+    except Exception as exc:  # malformed corpus entries must never abort the run
+        return str(exc)
+
+
 def load_corpus(corpus_dir: str | Path) -> CorpusLoad:
     """Reads every recognized table file under the directory, recursively.
 
-    Files are visited in sorted path order; a table's id is its file stem,
-    or, when an earlier table holds that id, the stem with the first free
-    suffix -2, -3, ...; malformed files are skipped and reported, never fatal.
+    Files are visited in sorted path order, and each table takes its id by
+    the rule of _TableIds; malformed files are skipped and reported, never
+    fatal.
     """
-    root = Path(corpus_dir)
-    if not root.is_dir():
-        raise PipelineConfigError(f"corpus directory not found: {root}")
     tables: list[Table] = []
     skipped: list[tuple[str, str]] = []
-    taken: set[str] = set()
-    resume: dict[str, int] = {}  # per stem, the suffix below which every id is taken
-    paths = sorted(p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in _CORPUS_SUFFIXES)
-    for path in paths:
-        n = resume.get(path.stem, 1)
-        while (table_id := path.stem if n == 1 else f"{path.stem}-{n}") in taken:
-            n += 1
-        resume[path.stem] = n
-        try:
-            table = _load_table_file(path, table_id)
-        except Exception as exc:  # malformed corpus entries must never abort the run
-            skipped.append((str(path), str(exc)))
+    ids = _TableIds()
+    for path in _corpus_paths(Path(corpus_dir)):
+        table_id = ids.next(path.stem)
+        table = _read_corpus_file(path, table_id)
+        if isinstance(table, str):
+            skipped.append((str(path), table))
             continue
-        taken.add(table_id)
+        ids.take(table_id)
         tables.append(table)
     return CorpusLoad(tables=tables, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
-# rendering: each worker gets the job map once and writes its own SVGs
+# synth shards: each reads, materializes and renders its own tables
 # ---------------------------------------------------------------------------
 
 RenderJob = tuple[Table, StyleSpec, Path]  # table, its style, the SVG path
-
-_worker_jobs: dict[str, RenderJob] = {}  # a render worker's job map, by table id
-
-
-def _set_worker_jobs(jobs: dict[str, RenderJob]) -> None:
-    """Pool initializer: the job map reaches each worker once, not per job."""
-    global _worker_jobs
-    _worker_jobs = jobs
 
 
 def _write_svg(table: Table, style: StyleSpec, path: Path) -> str:
@@ -325,21 +349,127 @@ def _write_svg(table: Table, style: StyleSpec, path: Path) -> str:
     return _sha256(data)
 
 
-def _render_job(table_id: str) -> str:
-    return _write_svg(*_worker_jobs[table_id])
+def _render_all(jobs: dict[str, RenderJob]) -> list[str]:
+    """Each job's SVG sha256, in job order."""
+    return [_write_svg(*job) for job in jobs.values()]
 
 
-def _render_all(jobs: dict[str, RenderJob], workers: int) -> list[str]:
-    """Each job's SVG sha256, in job order, from at most one process per job and CPU."""
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_write_svg(*job) for job in jobs.values()]
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_worker_jobs, initargs=(jobs,)
-    ) as pool:
-        # map preserves input order, so every digest lands in its place
-        # whatever the scheduling
-        return list(pool.map(_render_job, jobs, chunksize=8))
+# what a shard hands back from phase 2: the encoded record lines by output
+# position, (task, split, tr_format) per scored answer, and the SVG digest
+# and style family of each of its tables, by table id
+ShardOutput = tuple[dict[int, str], list[tuple[TaskKind, str, str | None]], dict[str, str], dict[str, str]]
+
+
+class _Shard:
+    """One share of the corpus files. Phase 1 (read) parses them and keeps
+    the tables; phase 2 (build) materializes, encodes and renders the
+    planned samples on them. Used directly, it is the shard that runs in
+    this process: send runs a phase at once and recv returns its result."""
+
+    def __init__(self) -> None:
+        self.tables: dict[str, Table] = {}  # by path
+        self._result: object = None
+
+    def read(self, paths: Sequence[str]) -> list[int | str]:
+        """Per file, its table's count of content-unique non-empty cells, or
+        the reason the file is skipped."""
+        reports: list[int | str] = []
+        for path in paths:
+            table = _read_corpus_file(Path(path))
+            if isinstance(table, Table):
+                self.tables[path] = table
+                table = unique_cell_count(table)
+            reports.append(table)
+        return reports
+
+    def build(
+        self,
+        ids: dict[str, str],
+        planned: Plan,
+        synth_config: SynthConfig,
+        pool: TemplatePool,
+        style_mix: StyleMix,
+        style_ranges: dict | None,
+        images_dir: Path,
+    ) -> ShardOutput:
+        """The planned samples on the tables of these files, by their ids."""
+        tables = {table_id: self.tables[path] for path, table_id in ids.items()}
+        samples, styles = materialize(planned, tables, synth_config, pool, style_mix, style_ranges)
+        lines: dict[int, str] = {}
+        answers = []
+        for position, sample in samples.items():
+            record = sample.to_dict()
+            lines[position] = json.dumps(record, ensure_ascii=False)
+            answers += [(a.task, a.split, a.tr_format) for a in _flatten_gold([record])]
+        jobs = {tid: (tables[tid], styles[tid], images_dir / f"{tid}.svg") for tid in sorted(styles)}
+        digests = dict(zip(jobs, _render_all(jobs)))
+        return lines, answers, digests, {tid: spec.family.value for tid, spec in styles.items()}
+
+    def send(self, method: str, *args: object) -> None:
+        self._result = getattr(self, method)(*args)
+
+    def recv(self) -> object:
+        return self._result
+
+    def close(self) -> None:
+        self.tables = {}  # the run no longer needs them
+
+
+def _serve_shard(conn: Connection) -> None:
+    """A shard process: runs each (method, args) it receives on its one
+    _Shard and sends back (error, result), until the pipe closes."""
+    shard = _Shard()
+    with conn:
+        while True:
+            try:
+                method, args = conn.recv()
+            except EOFError:
+                return
+            try:
+                conn.send((None, getattr(shard, method)(*args)))
+            except Exception as exc:
+                conn.send(((exc, traceback.format_exc()), None))
+
+
+class _ShardProcess:
+    """A _Shard in a process of its own, driven through a pipe. No thread
+    of this process takes part, so any start method serves."""
+
+    def __init__(self) -> None:
+        import multiprocessing  # here, so that only a run with shard processes imports it
+
+        self._conn, child = multiprocessing.Pipe()
+        self._process = multiprocessing.Process(target=_serve_shard, args=(child,), daemon=True)
+        self._process.start()
+        child.close()
+
+    def send(self, method: str, *args: object) -> None:
+        self._conn.send((method, args))
+
+    def recv(self) -> object:
+        try:
+            error, result = self._conn.recv()
+        except EOFError:
+            raise RuntimeError("a synth shard process ended without a result") from None
+        if error is not None:
+            exc, remote_traceback = error
+            raise exc from RuntimeError(f"in a synth shard process:\n{remote_traceback}")
+        return result
+
+    def close(self) -> None:
+        # after its last result a shard only waits for the next call, and
+        # after a failure elsewhere its work is not wanted
+        self._conn.close()
+        self._process.terminate()
+        self._process.join()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the
+    platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +483,13 @@ def _shares(names: Sequence[str]) -> dict[str, float]:
     return {name: counts[name] / len(names) for name in sorted(counts)}
 
 
-def _record_task_counts(answers: Sequence[_GoldRecord]) -> dict[str, int]:
-    return dict(sorted(Counter(f"{a.task.value}-{a.split}" for a in answers).items()))
+def _record_task_counts(answers: Iterable[tuple[TaskKind, str, str | None]]) -> dict[str, int]:
+    """Answers per task and split, from (task, split, tr_format) per answer."""
+    return dict(sorted(Counter(f"{task.value}-{split}" for task, split, _ in answers).items()))
 
 
-def _tr_format_mix(answers: Sequence[_GoldRecord]) -> dict[str, float]:
-    return _shares([a.tr_format for a in answers if a.task is TaskKind.TR])
+def _tr_format_mix(answers: Iterable[tuple[TaskKind, str, str | None]]) -> dict[str, float]:
+    return _shares([fmt for task, _, fmt in answers if task is TaskKind.TR])
 
 
 def _style_mix_achieved(records: Sequence[dict]) -> dict[str, float]:
@@ -389,59 +520,79 @@ def cmd_synth(
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     manifest_path.unlink(missing_ok=True)
-    corpus = load_corpus(config._resolve(config.corpus_dir))
+    paths = _corpus_paths(config._resolve(config.corpus_dir))
     synth_config = config.to_synth_config(seed_override=seed)
-    style_mix = config.resolve_style_mix()
-    style_ranges = config.resolve_style_ranges()
-    pool = config.resolve_pool()
-    qa_pairs = config.resolve_qa_pairs()
-
-    result: SynthResult = synthesize(
-        corpus.tables,
-        synth_config,
-        pool=pool,
-        qa_pairs=qa_pairs,
-        style_mix=style_mix,
-        style_ranges=style_ranges,
+    resolved = (
+        config.resolve_pool(),
+        config.resolve_style_mix(),
+        config.resolve_style_ranges(),
     )
-    records = [s.to_dict() for s in result.samples]
-    answers = _flatten_gold(records)
-
+    qa_pairs = config.resolve_qa_pairs()
     images_dir = out / "images"
-    # images from an earlier run into the same directory would outlive the
-    # manifest that no longer lists them
-    if images_dir.is_dir():
-        shutil.rmtree(images_dir)
-    images_dir.mkdir(parents=True)
 
+    # at most one shard per usable CPU and per corpus file; shard k reads
+    # files k, k + n, k + 2n, ... of the sorted list and keeps their tables
+    n = max(1, min(workers, len(paths), _usable_cpus()))
+    shards: list[_Shard | _ShardProcess] = []
+    try:
+        for _ in range(n):
+            shards.append(_ShardProcess() if n > 1 else _Shard())
+        for k, shard in enumerate(shards):
+            # paths as strings: a Path is slow to unpickle
+            shard.send("read", [str(path) for path in paths[k::n]])
+        reports: list = [None] * len(paths)
+        for k, shard in enumerate(shards):
+            reports[k::n] = shard.recv()
+
+        ids = _TableIds()
+        unique_cells: dict[str, int] = {}
+        shard_ids: list[dict[str, str]] = [{} for _ in shards]
+        for i, (path, report) in enumerate(zip(paths, reports)):
+            table_id = ids.next(path.stem)
+            if isinstance(report, int):
+                ids.take(table_id)
+                unique_cells[table_id] = report
+                shard_ids[i % n][str(path)] = table_id
+        planned = plan(unique_cells, synth_config, qa_pairs)
+
+        # images from an earlier run into the same directory would outlive
+        # the manifest that no longer lists them
+        if images_dir.is_dir():
+            shutil.rmtree(images_dir)
+        images_dir.mkdir(parents=True)
+        for shard, their_ids in zip(shards, shard_ids):
+            shard.send("build", their_ids, planned, synth_config, *resolved, images_dir)
+        built: list[ShardOutput] = [shard.recv() for shard in shards]
+    finally:
+        for shard in shards:
+            shard.close()
+
+    lines: dict[int, str] = {}
+    answers: list[tuple[TaskKind, str, str | None]] = []
     digests: dict[str, str] = {}
+    families: dict[str, str] = {}
+    for shard_lines, shard_answers, shard_digests, shard_families in built:
+        lines.update(shard_lines)
+        answers += shard_answers
+        digests.update((f"images/{tid}.svg", digest) for tid, digest in shard_digests.items())
+        families.update(shard_families)
     samples_bytes = (
-        "\n".join(json.dumps(r, ensure_ascii=False) for r in records) + "\n"
-        if records
-        else ""
+        "\n".join(lines[p] for p in range(len(lines))) + "\n" if lines else ""
     ).encode("utf-8")
     (out / "samples.jsonl").write_bytes(samples_bytes)
     digests["samples.jsonl"] = _sha256(samples_bytes)
-
-    by_id = {t.source_id: t for t in corpus.tables}
-    jobs = {
-        tid: (by_id[tid], result.styles[tid], images_dir / f"{tid}.svg")
-        for tid in sorted({r["table_id"] for r in records})
-    }
-    for tid, digest in zip(jobs, _render_all(jobs, workers)):
-        digests[f"images/{tid}.svg"] = digest
 
     manifest = {
         "version": __version__,
         "config": config.echo(),
         "master_seed": synth_config.master_seed,
-        "corpus": {"tables": len(corpus.tables), "skipped_files": corpus.skipped_count},
+        "corpus": {"tables": len(unique_cells), "skipped_files": len(paths) - len(unique_cells)},
         "counts": _record_task_counts(answers),
-        "conversations": result.conversations,
-        "consumed_singles": result.consumed_singles,
-        "shortfalls": dict(sorted(result.shortfalls.items())),
-        "qa_pairs_skipped": result.qa_pairs_skipped,
-        "style_mix_achieved": _style_mix_achieved(records),
+        "conversations": planned.conversations,
+        "consumed_singles": planned.consumed_singles,
+        "shortfalls": dict(sorted(planned.shortfalls.items())),
+        "qa_pairs_skipped": planned.qa_pairs_skipped,
+        "style_mix_achieved": _shares(list(families.values())),
         "tr_format_mix_achieved": _tr_format_mix(answers),
         "files": dict(sorted(digests.items())),
     }
@@ -485,6 +636,7 @@ def dataset_stats(samples_path: str | Path) -> dict:
     raises FileFormatError naming the sample."""
     records = _read_jsonl(samples_path)
     answers = _flatten_gold(records)
+    summary = [(a.task, a.split, a.tr_format) for a in answers]
     rows: list[int] = []
     cols: list[int] = []
     conversations = 0
@@ -512,11 +664,11 @@ def dataset_stats(samples_path: str | Path) -> dict:
     return {
         "samples": len(records),
         "conversations": conversations,
-        "per_task": _record_task_counts(answers),
+        "per_task": _record_task_counts(summary),
         "request_tokens_avg": _mean(_tokens("request")),
         "response_tokens_avg": _mean(_tokens("gold_response")),
         "style_mix": _style_mix_achieved(records),
-        "tr_format_mix": _tr_format_mix(answers),
+        "tr_format_mix": _tr_format_mix(summary),
         "table_rows": _dist(rows),
         "table_cols": _dist(cols),
     }

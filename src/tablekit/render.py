@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
 from .core import AnchorCell, Table, expand_grid
-from .numeric import check_weights
-from .textmetrics import line_height, text_width, wrap_text
+from .numeric import check_weights, left_sum
+from .textmetrics import line_height, paragraph_advances, wrap_measured, wrap_text
 
 MIN_COL_WIDTH = 24
 
@@ -195,12 +195,17 @@ def layout(table: Table, style: StyleSpec) -> LayoutPlan:
     border = style.border_width
     lh = line_height(style.font_size)
 
+    # each distinct cell text is measured once, for its width estimate and its wrap
+    measured: dict[str, list[list[float]]] = {}
     estimates = [0.0] * table.n_cols
     for a in table.anchors:
+        paragraphs = measured.get(a.content)
+        if paragraphs is None:
+            paragraphs = paragraph_advances(a.content, style.font_family, style.font_size)
+            measured[a.content] = paragraphs
         if a.col_span == 1:
-            estimates[a.col - 1] = max(
-                estimates[a.col - 1], text_width(a.content, style.font_family, style.font_size)
-            )
+            # text_width(a.content, ...): the widest paragraph, unwrapped
+            estimates[a.col - 1] = max(estimates[a.col - 1], *map(left_sum, paragraphs))
     widths = [
         max(MIN_COL_WIDTH, min(math.ceil(est) + 2 * pad, style.max_col_width)) for est in estimates
     ]
@@ -214,7 +219,11 @@ def layout(table: Table, style: StyleSpec) -> LayoutPlan:
     n_lines = [1] * table.n_rows
     for a in anchors:
         avail = xs[a.col - 1 + a.col_span] - xs[a.col - 1] - border - 2 * pad
-        lines = tuple(wrap_text(a.content, style.font_family, style.font_size, max(avail, 1)))
+        lines = tuple(
+            wrap_measured(
+                a.content, measured[a.content], style.font_family, style.font_size, max(avail, 1)
+            )
+        )
         wrapped.append(lines)
         if a.row_span == 1:
             n_lines[a.row - 1] = max(n_lines[a.row - 1], len(lines))

@@ -9,12 +9,13 @@ task, index) so synthesis is order- and parallelism-independent.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .core import Table, expand_grid, merged_regions
 from .formats import serialize
@@ -23,6 +24,9 @@ from .numeric import check_weights, left_sum
 from .render import DEFAULT_STYLE_MIX, StyleMix, StyleSpec, sample_style
 from .taskdefs import TaskKind
 from .templates import TemplatePool, build_request, default_pool
+
+
+T = TypeVar("T")
 
 
 class KTooLarge(ValueError):
@@ -163,6 +167,13 @@ def unique_nonempty_anchors(table: Table) -> list:
     return [a for a in expand_grid(table).anchors() if a.content and counts[a.content] == 1]
 
 
+def unique_cell_count(table: Table) -> int:
+    """len(unique_nonempty_anchors(table)) of a valid table, without
+    expanding its grid: each content that occurs once is one such anchor."""
+    counts = Counter(a.content for a in table.anchors)
+    return sum(1 for content, n in counts.items() if content and n == 1)
+
+
 def synth_tcl(table: Table, k: int, ctx: SampleContext) -> Sample:
     candidates = unique_nonempty_anchors(table)
     if k < 1 or k > len(candidates):
@@ -246,6 +257,45 @@ def wrap_qa(table: Table, task_input: str, task_output: str, ctx: SampleContext)
     return _finish(table, TaskKind.QA_WRAP, ctx, gold, {"question": task_input})
 
 
+def _pick_turns(
+    groups: Mapping[str, Sequence[T]], fraction: float, master_seed: int
+) -> list[tuple[str, list[T]]]:
+    """The conversations drawn from train-split singles grouped by table, in
+    table id order: (table id, its 2-4 turns). A table's draw is seeded from
+    its id alone, so it depends only on the length of its group."""
+    picked = []
+    for table_id in sorted(groups):
+        group = groups[table_id]
+        if len(group) < 2:
+            continue
+        rng = random.Random(derive_seed(master_seed, "multiturn", table_id))
+        if rng.random() >= fraction:
+            continue
+        n_turns = rng.randint(2, min(4, len(group)))
+        picked.append((table_id, rng.sample(group, n_turns)))
+    return picked
+
+
+def _conversation(index: int, chosen: Sequence[Sample]) -> Sample:
+    """The conversation numbered index whose turns are the chosen singles;
+    the first turn gives its top-level fields."""
+    turns = tuple(
+        Turn(s.task, s.request, s.gold_response, s.gold_answer, s.sample_id) for s in chosen
+    )
+    head = chosen[0]
+    return Sample(
+        sample_id=f"multiturn-train-{index:06d}",
+        table_id=head.table_id,
+        task=head.task,
+        image_ref=head.image_ref,
+        request=head.request,
+        gold_response=head.gold_response,
+        gold_answer=head.gold_answer,
+        turns=turns,
+        meta={**head.meta, "turn_count": len(turns)},
+    )
+
+
 def compose_multiturn(
     samples: Sequence[Sample], *, fraction: float, master_seed: int
 ) -> tuple[tuple[Sample, ...], frozenset[str]]:
@@ -257,38 +307,12 @@ def compose_multiturn(
     for s in samples:
         if s.meta.get("split") == "train" and s.turns is None:
             groups.setdefault(s.table_id, []).append(s)
-    conversations: list[Sample] = []
-    consumed: set[str] = set()
-    index = 0
-    for table_id in sorted(groups):
-        group = groups[table_id]
-        if len(group) < 2:
-            continue
-        rng = random.Random(derive_seed(master_seed, "multiturn", table_id))
-        if rng.random() >= fraction:
-            continue
-        n_turns = rng.randint(2, min(4, len(group)))
-        chosen = rng.sample(group, n_turns)
-        turns = tuple(
-            Turn(s.task, s.request, s.gold_response, s.gold_answer, s.sample_id) for s in chosen
-        )
-        head = chosen[0]
-        conversations.append(
-            Sample(
-                sample_id=f"multiturn-train-{index:06d}",
-                table_id=table_id,
-                task=head.task,
-                image_ref=head.image_ref,
-                request=head.request,
-                gold_response=head.gold_response,
-                gold_answer=head.gold_answer,
-                turns=turns,
-                meta={**head.meta, "turn_count": len(turns)},
-            )
-        )
-        index += 1
-        consumed.update(t.source_sample_id for t in turns)
-    return tuple(conversations), frozenset(consumed)
+    conversations = tuple(
+        _conversation(index, chosen)
+        for index, (_, chosen) in enumerate(_pick_turns(groups, fraction, master_seed))
+    )
+    consumed = frozenset(t.source_sample_id for c in conversations for t in c.turns)
+    return conversations, consumed
 
 
 def _default_counts() -> dict[TaskKind, tuple[int, int]]:
@@ -329,10 +353,11 @@ class SynthResult:
 
 
 def partition_tables(
-    pairs: Sequence[tuple[str, Table]], config: SynthConfig
-) -> tuple[tuple[tuple[str, Table], ...], tuple[tuple[str, Table], ...]]:
-    """Disjoint (train, eval) table pools, shuffled under the master seed and
-    split in proportion to the aggregate per-split demand."""
+    pairs: Sequence[tuple[str, T]], config: SynthConfig
+) -> tuple[tuple[tuple[str, T], ...], tuple[tuple[str, T], ...]]:
+    """Disjoint (train, eval) pools of (table id, value) pairs, shuffled under
+    the master seed and split in proportion to the aggregate per-split
+    demand; the values ride along."""
     ordered = sorted(pairs, key=lambda p: p[0])
     rng = random.Random(derive_seed(config.master_seed, "partition"))
     shuffled = list(ordered)
@@ -358,113 +383,80 @@ STRUCTURE_TASKS = (
 )
 
 
-def synthesize(
-    tables: Iterable[Table],
-    config: SynthConfig | None = None,
-    pool: TemplatePool | None = None,
-    qa_pairs: Sequence[Mapping[str, str]] = (),
-    style_mix: StyleMix | None = None,
-    style_ranges: dict | None = None,
-) -> SynthResult:
-    """Generates the configured sample counts from the table corpus.
+# one single sample as plan fixes it, everything but the table's content:
+# (task, split, its number within its task and split, table id, question,
+# answer), the last two a qa_wrap's and empty otherwise. A plain tuple, as a
+# plan is sent to every synth shard process and plain tuples pickle fastest.
+PlannedSample = tuple[TaskKind, str, int, str, str, str]
 
-    Tables cycle within their split pool; a shortfall is recorded when a
-    count cannot be met (empty pool, or no table satisfies a task's
-    precondition), never padded. QA pairs reference tables by id; when
-    the config has no explicit QA_WRAP count every usable pair is wrapped.
-    A table id (source_id, else table-<index>) given twice raises ValueError.
+
+@dataclass(frozen=True)
+class Plan:
+    """What synthesize emits, decided from table ids and cell counts alone."""
+
+    singles: tuple[PlannedSample, ...]  # in synthesis order
+    # per emitted sample, in output order, the singles it is made of: one
+    # single, or a conversation's turns; the conversations come last
+    outputs: tuple[tuple[int, ...], ...]
+    conversations: int
+    shortfalls: dict[str, int]
+    qa_pairs_skipped: int
+
+    @property
+    def consumed_singles(self) -> int:
+        """How many singles became turns of a conversation."""
+        return len(self.singles) - (len(self.outputs) - self.conversations)
+
+    def table_of(self, position: int) -> str:
+        return self.singles[self.outputs[position][0]][3]
+
+
+def plan(
+    unique_cells: Mapping[str, int],
+    config: SynthConfig | None = None,
+    qa_pairs: Sequence[Mapping[str, str]] = (),
+) -> Plan:
+    """Fixes every emitted sample from each table's id and its count of
+    content-unique non-empty cells (unique_cell_count).
+
+    Tables cycle within their split pool; a tcl sample whose table has too
+    few unique cells moves forward to the next table that has enough. A
+    shortfall is recorded when a count cannot be met (empty pool, or no table
+    satisfies a task's precondition), never padded. QA pairs reference tables
+    by id; when the config has no explicit QA_WRAP count every usable pair is
+    wrapped.
     """
     config = config if config is not None else SynthConfig()
-    pool = pool if pool is not None else default_pool()
-    style_mix = style_mix if style_mix is not None else DEFAULT_STYLE_MIX
+    train_pool, eval_pool = partition_tables(list(unique_cells.items()), config)
+    pools = {"train": [tid for tid, _ in train_pool], "eval": [tid for tid, _ in eval_pool]}
 
-    table_by_id: dict[str, Table] = {}
-    for i, table in enumerate(tables):
-        table_id = table.source_id or f"table-{i:05d}"
-        if table_id in table_by_id:
-            raise ValueError(f"table id {table_id!r} is repeated")
-        table_by_id[table_id] = table
-    train_pool, eval_pool = partition_tables(list(table_by_id.items()), config)
-    pools = {"train": train_pool, "eval": eval_pool}
-
-    styles: dict[str, StyleSpec] = {}
-
-    def family_of(table_id: str) -> str:
-        spec = styles.get(table_id)
-        if spec is None:
-            spec = sample_style(style_mix, style_seed(config.master_seed, table_id), style_ranges)
-            styles[table_id] = spec
-        return spec.family.value
-
-    def make_context(task: TaskKind, split: str, index: int, table_id: str) -> SampleContext:
-        return SampleContext(
-            sample_id=f"{task.value}-{split}-{index:06d}",
-            table_id=table_id,
-            image_ref=f"images/{table_id}.svg",
-            gold_seed=derive_seed(config.master_seed, table_id, task.value, index, "gold"),
-            request_seed=derive_seed(config.master_seed, table_id, task.value, index, "request"),
-            pool=pool,
-            meta={"style_family": family_of(table_id), "split": split},
-        )
-
-    tcl_ok: dict[str, bool] = {}
-
-    def qualifies_tcl(table_id: str, table: Table) -> bool:
-        ok = tcl_ok.get(table_id)
-        if ok is None:
-            ok = len(unique_nonempty_anchors(table)) >= config.tcl_cells_per_sample
-            tcl_ok[table_id] = ok
-        return ok
-
-    singles: list[Sample] = []
+    singles: list[PlannedSample] = []
     shortfalls: dict[str, int] = {}
-
     for task in STRUCTURE_TASKS:
         train_n, eval_n = config.counts.get(task, (0, 0))
         for split, count in (("train", train_n), ("eval", eval_n)):
-            split_pool = pools[split]
-            made = 0
-            for index in range(count):
-                if not split_pool:
-                    break
-                pos = index % len(split_pool)
-                if task is TaskKind.TCL:
-                    # the assigned table may lack enough unique cells; probe forward
-                    for step in range(len(split_pool)):
-                        cand_id, cand = split_pool[(pos + step) % len(split_pool)]
-                        if qualifies_tcl(cand_id, cand):
-                            pos = (pos + step) % len(split_pool)
-                            break
-                    else:
-                        continue
-                table_id, table = split_pool[pos]
-                ctx = make_context(task, split, index, table_id)
-                if task is TaskKind.TSD:
-                    sample = synth_tsd(table, ctx)
-                elif task is TaskKind.TCE:
-                    k = min(config.tce_cells_per_sample, table.n_rows * table.n_cols)
-                    sample = synth_tce(table, k, ctx)
-                elif task is TaskKind.TCL:
-                    sample = synth_tcl(table, config.tcl_cells_per_sample, ctx)
-                elif task is TaskKind.MCD:
-                    sample = synth_mcd(table, ctx)
-                elif task is TaskKind.RCE:
-                    sample = synth_rce(table, ctx)
-                else:
-                    sample = synth_tr(table, None, ctx, config.tr_format_weights)
-                singles.append(sample)
-                made += 1
+            ids = pools[split]
+            # the pool positions a sample of the task may take
+            usable = range(len(ids))
+            if task is TaskKind.TCL:
+                usable = [i for i in usable if unique_cells[ids[i]] >= config.tcl_cells_per_sample]
+            made = count if usable else 0
+            for index in range(made):
+                pos = index % len(ids)
+                # the first usable position at or after pos, wrapping round
+                pos = usable[bisect.bisect_left(usable, pos) % len(usable)]
+                singles.append((task, split, index, ids[pos], "", ""))
             if made < count:
                 shortfalls[f"{task.value}-{split}"] = count - made
 
-    train_ids = {tid for tid, _ in train_pool}
+    train_ids = set(pools["train"])
     qa_split: dict[str, list[tuple[str, str, str]]] = {"train": [], "eval": []}
     qa_skipped = 0
     for pair in qa_pairs:
         tid = str(pair.get("table_id", ""))
         question = str(pair.get("question", "") or "")
         answer = str(pair.get("answer", "") or "")
-        if tid not in table_by_id or not question or not answer:
+        if tid not in unique_cells or not question or not answer:
             qa_skipped += 1
             continue
         qa_split["train" if tid in train_ids else "eval"].append((tid, question, answer))
@@ -475,20 +467,115 @@ def synthesize(
     for split, count in (("train", qa_counts[0]), ("eval", qa_counts[1])):
         available = qa_split[split]
         for index, (tid, question, answer) in enumerate(available[:count]):
-            ctx = make_context(TaskKind.QA_WRAP, split, index, tid)
-            singles.append(wrap_qa(table_by_id[tid], question, answer, ctx))
+            singles.append((TaskKind.QA_WRAP, split, index, tid, question, answer))
         if count > len(available):
             shortfalls[f"qa_wrap-{split}"] = count - len(available)
 
-    conversations, consumed = compose_multiturn(
-        singles, fraction=config.multiturn_fraction, master_seed=config.master_seed
-    )
-    emitted = tuple(s for s in singles if s.sample_id not in consumed) + conversations
-    return SynthResult(
-        samples=emitted,
+    picked: list[tuple[str, list[int]]] = []
+    if config.multiturn_fraction > 0.0:
+        groups: dict[str, list[int]] = {}
+        for i, (_, split, _, table_id, _, _) in enumerate(singles):
+            if split == "train":
+                groups.setdefault(table_id, []).append(i)
+        picked = _pick_turns(groups, config.multiturn_fraction, config.master_seed)
+    consumed = {i for _, turns in picked for i in turns}
+    outputs = [(i,) for i in range(len(singles)) if i not in consumed]
+    outputs += [tuple(turns) for _, turns in picked]
+    return Plan(
+        singles=tuple(singles),
+        outputs=tuple(outputs),
+        conversations=len(picked),
         shortfalls=shortfalls,
-        conversations=len(conversations),
-        consumed_singles=len(consumed),
         qa_pairs_skipped=qa_skipped,
+    )
+
+
+def materialize(
+    planned: Plan,
+    tables: Mapping[str, Table],
+    config: SynthConfig | None = None,
+    pool: TemplatePool | None = None,
+    style_mix: StyleMix | None = None,
+    style_ranges: dict | None = None,
+) -> tuple[dict[int, Sample], dict[str, StyleSpec]]:
+    """The planned samples on the given tables, by output position, and the
+    style drawn for each of those tables. Samples on other tables are left
+    out, so disjoint sets of tables build disjoint shares of the output."""
+    config = config if config is not None else SynthConfig()
+    pool = pool if pool is not None else default_pool()
+    style_mix = style_mix if style_mix is not None else DEFAULT_STYLE_MIX
+    styles: dict[str, StyleSpec] = {}
+
+    def build(single: PlannedSample) -> Sample:
+        task, split, index, table_id, question, answer = single
+        table = tables[table_id]
+        spec = styles.get(table_id)
+        if spec is None:
+            spec = sample_style(style_mix, style_seed(config.master_seed, table_id), style_ranges)
+            styles[table_id] = spec
+        ctx = SampleContext(
+            sample_id=f"{task.value}-{split}-{index:06d}",
+            table_id=table_id,
+            image_ref=f"images/{table_id}.svg",
+            gold_seed=derive_seed(config.master_seed, table_id, task.value, index, "gold"),
+            request_seed=derive_seed(config.master_seed, table_id, task.value, index, "request"),
+            pool=pool,
+            meta={"style_family": spec.family.value, "split": split},
+        )
+        if task is TaskKind.TSD:
+            return synth_tsd(table, ctx)
+        if task is TaskKind.TCE:
+            return synth_tce(table, min(config.tce_cells_per_sample, table.n_rows * table.n_cols), ctx)
+        if task is TaskKind.TCL:
+            return synth_tcl(table, config.tcl_cells_per_sample, ctx)
+        if task is TaskKind.MCD:
+            return synth_mcd(table, ctx)
+        if task is TaskKind.RCE:
+            return synth_rce(table, ctx)
+        if task is TaskKind.TR:
+            return synth_tr(table, None, ctx, config.tr_format_weights)
+        return wrap_qa(table, question, answer, ctx)
+
+    samples: dict[int, Sample] = {}
+    first_conversation = len(planned.outputs) - planned.conversations
+    for position, made_of in enumerate(planned.outputs):
+        if planned.table_of(position) in tables:
+            built = [build(planned.singles[i]) for i in made_of]
+            samples[position] = (
+                built[0]
+                if position < first_conversation
+                else _conversation(position - first_conversation, built)
+            )
+    return samples, styles
+
+
+def synthesize(
+    tables: Iterable[Table],
+    config: SynthConfig | None = None,
+    pool: TemplatePool | None = None,
+    qa_pairs: Sequence[Mapping[str, str]] = (),
+    style_mix: StyleMix | None = None,
+    style_ranges: dict | None = None,
+) -> SynthResult:
+    """Generates the configured sample counts from the table corpus: plan,
+    then materialize over every table (see both).
+
+    A table id (source_id, else table-<index>) given twice raises ValueError.
+    """
+    table_by_id: dict[str, Table] = {}
+    for i, table in enumerate(tables):
+        table_id = table.source_id or f"table-{i:05d}"
+        if table_id in table_by_id:
+            raise ValueError(f"table id {table_id!r} is repeated")
+        table_by_id[table_id] = table
+    unique_cells = {tid: unique_cell_count(t) for tid, t in table_by_id.items()}
+    planned = plan(unique_cells, config, qa_pairs)
+    samples, styles = materialize(planned, table_by_id, config, pool, style_mix, style_ranges)
+    return SynthResult(
+        samples=tuple(samples[p] for p in range(len(planned.outputs))),
+        shortfalls=planned.shortfalls,
+        conversations=planned.conversations,
+        consumed_singles=planned.consumed_singles,
+        qa_pairs_skipped=planned.qa_pairs_skipped,
         styles=styles,
     )

@@ -83,10 +83,15 @@ def char_advance(ch: str, font_family: str, font_size_pt: int | float) -> float:
     return _advances(font_family, font_size_pt)[ch]
 
 
+def paragraph_advances(text: str, font_family: str, font_size_pt: int | float) -> list[list[float]]:
+    """The advance of each character of the text, one list per line of it."""
+    advance = _advances(font_family, font_size_pt).__getitem__
+    return [list(map(advance, part)) for part in text.split("\n")]
+
+
 def text_width(text: str, font_family: str, font_size_pt: int | float) -> float:
     """Width of the widest line of the text, unwrapped."""
-    advance = _advances(font_family, font_size_pt).__getitem__
-    return max(left_sum(map(advance, part)) for part in text.split("\n"))
+    return max(map(left_sum, paragraph_advances(text, font_family, font_size_pt)))
 
 
 def _break_long_word(
@@ -109,14 +114,34 @@ def _break_long_word(
 
 def wrap_text(text: str, font_family: str, font_size_pt: int | float, max_width: float) -> list[str]:
     """Greedy word-boundary wrap; words wider than the limit are hard-broken."""
-    advance = _advances(font_family, font_size_pt).__getitem__
-    space = advance(" ")
+    paragraphs = paragraph_advances(text, font_family, font_size_pt)
+    return wrap_measured(text, paragraphs, font_family, font_size_pt, max_width)
+
+
+def wrap_measured(
+    text: str,
+    paragraphs: list[list[float]],
+    font_family: str,
+    font_size_pt: int | float,
+    max_width: float,
+) -> list[str]:
+    """wrap_text of a text whose paragraph_advances are given, so that a
+    caller that measured the text already does not measure it again."""
+    space = _advances(font_family, font_size_pt)[" "]
     lines: list[str] = []
-    for paragraph in text.split("\n"):
+    for paragraph, measured in zip(text.split("\n"), paragraphs):
+        if left_sum(measured) <= max_width and not paragraph.startswith(" "):
+            # every width the loop below compares is a prefix of this left
+            # to right sum, so it would break nowhere; it drops only leading
+            # spaces, which the test keeps from this shortcut
+            lines.append(paragraph)
+            continue
         line = ""
         line_width = 0.0  # text_width(line): its advances summed left to right
+        start = 0  # where the word starts in the paragraph
         for word in paragraph.split(" "):
-            advances = list(map(advance, word))
+            advances = measured[start : start + len(word)]
+            start += len(word) + 1
             if word and left_sum(advances) > max_width:
                 pieces = _break_long_word(word, advances, max_width)
             else:

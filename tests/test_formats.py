@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -187,6 +188,46 @@ def test_latex_text_outside_the_tabular_is_refused_or_ignored_with_a_warning(src
     table, warnings = parse_tolerant(src, TEX)
     assert [a.content for a in table.anchors] == ["a"]
     assert warnings == [warning for _, warning in refusals]
+
+
+def test_a_parse_error_pickles_whole():
+    # a synth shard process sends its exception back pickled
+    for error in (ParseError("row 2", "overlapping span"), UnsupportedConstruct("input", "nested table")):
+        copy = pickle.loads(pickle.dumps(error))
+        assert (type(copy), copy.location, copy.reason, str(copy)) == (
+            type(error), error.location, error.reason, str(error)
+        )
+
+
+def test_latex_nested_tabular_is_flattened_into_its_cell_as_html_is():
+    src = (
+        "\\begin{tabular}{cc} a & \\begin{tabular}{c} z \\\\ w \\\\ \\end{tabular} \\\\"
+        " b & c \\\\ \\end{tabular}"
+    )
+    with pytest.raises(UnsupportedConstruct, match="nested tabular environment"):
+        parse(src, TEX)
+    table, warnings = parse_tolerant(src, TEX)
+    assert [a.content for a in table.anchors] == ["a", "z\nw", "b", "c"]
+    assert warnings == ["nested tabular flattened"]
+    html = "<table><tr><td>a</td><td><table><tr><td>z</td></tr><tr><td>w</td></tr></table></td></tr>"
+    html += "<tr><td>b</td><td>c</td></tr></table>"
+    assert [a.content for a in parse_tolerant(html, HTML)[0].anchors] == ["a", "z\nw", "b", "c"]
+    # deeper nesting, rules, an empty inner cell and escapes: one line per
+    # non-empty inner cell, its text unescaped once
+    deep = (
+        "\\begin{tabular}{c} \\hline \\begin{tabular}{cc} p & \\\\ \\hline"
+        " \\begin{tabular}{c} 5\\% \\end{tabular} & q\\&r \\end{tabular} \\\\ s \\\\ \\end{tabular}"
+    )
+    table, warnings = parse_tolerant(deep, TEX)
+    assert [a.content for a in table.anchors] == ["p\n5%\nq&r", "s"]
+    assert warnings == ["nested tabular flattened"] * 2
+
+    # nesting n deep, closed or not, costs what its length does
+    def make(n):
+        return "\\begin{tabular}{c} " + "x & \\begin{tabular}{p{1cm}} " * n + "\\end{tabular}" * (n // 2)
+
+    ratio = growth_ratio(lambda src: parse_tolerant(src, TEX), make, 300)
+    assert ratio < 9, ratio
 
 
 def test_parse_latex_bracket_text_after_row_break_is_a_cell():

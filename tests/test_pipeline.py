@@ -5,8 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -314,37 +318,136 @@ def test_cmd_synth_identical_across_worker_counts(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_cmd_synth_starts_at_most_one_render_process_per_job_and_cpu(tmp_path, monkeypatch):
-    # a stand-in pool records the process count it is asked for and maps in
-    # this process, so no worker process is ever started
-    asked = []
+def test_cmd_synth_starts_at_most_one_shard_per_file_and_cpu(tmp_path, monkeypatch):
+    # a stand-in shard process records its start and runs its shard in this
+    # process, so no process is ever started
+    started = []
 
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            asked.append(max_workers)
-            initializer(*initargs)
+    class InProcessShard(pipeline._Shard):
+        def __init__(self):
+            super().__init__()
+            started.append(self)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(pipeline, "_worker_jobs", {})
+    monkeypatch.setattr(pipeline, "_ShardProcess", InProcessShard)
     _make_corpus(tmp_path, n=6)
     config = PipelineConfig.from_file(_write_config(tmp_path, {"tsd": [3, 0]}))
     cmd_synth(config, tmp_path / "serial", workers=1)
-    for cpus, want in ((None, []), (2, [2]), (64, [3])):
-        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
-        asked.clear()
-        cmd_synth(config, tmp_path / f"cpus{cpus}", workers=50)
-        assert asked == want, cpus
-        for rel in ("manifest.json", "samples.jsonl"):
-            assert (tmp_path / f"cpus{cpus}" / rel).read_bytes() == (tmp_path / "serial" / rel).read_bytes()
+    assert started == []
+    # the CPUs in the affinity mask, or, without one, os.cpu_count()
+    cases = [("mask", 1, 0), ("mask", 2, 2), ("mask", 64, 6), ("count", None, 0), ("count", 3, 3)]
+    for source, cpus, want in cases:
+        if source == "mask":
+            monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        else:
+            monkeypatch.delattr(pipeline.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+        started.clear()
+        out = tmp_path / f"{source}{cpus}"
+        cmd_synth(config, out, workers=50)
+        assert len(started) == want, (source, cpus)
+        _assert_same_tree(tmp_path / "serial", out)
+
+
+def _assert_same_tree(expected, actual):
+    files = sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(actual) for p in actual.rglob("*") if p.is_file())
+    for rel in files:
+        assert (actual / rel).read_bytes() == (expected / rel).read_bytes(), rel
+
+
+def _sharding_corpus(tmp_path):
+    """A corpus and config with every case a shard split must keep: a stem
+    in two subdirectories whose first file fails to parse, so the second
+    takes the bare id; a skipped file; QA pairs, some on unknown tables or
+    unusable; conversations; and a tcl shortfall in the eval split."""
+    corpus = tmp_path / "corpus"
+    (corpus / "a").mkdir(parents=True)
+    (corpus / "b").mkdir()
+    (corpus / "a" / "dup.json").write_text("{not json", encoding="utf-8")
+    (corpus / "b" / "dup.html").write_text("<table><tr><td>x</td><td>y</td></tr></table>", encoding="utf-8")
+    (corpus / "broken.md").write_text("no table here", encoding="utf-8")
+    rng = random.Random(601)
+    for i in range(16):
+        table = table_from_dict(oracles.random_table_dict(rng))
+        latex = i % 2 and not table.has_spans() and not any(a.is_header for a in table.anchors)
+        fmt = TableFormat.LATEX if latex else TableFormat.HTML
+        (corpus / f"t{i:02d}.{'tex' if latex else 'html'}").write_text(serialize(table, fmt), encoding="utf-8")
+        if i % 3 == 0:
+            (corpus / f"j{i:02d}.json").write_text(json.dumps(table_to_dict(table)), encoding="utf-8")
+    qa = [
+        {"table_id": "dup", "question": "Which letter comes first?", "answer": "x"},
+        {"table_id": "t03", "question": "What is in the corner?", "answer": "a"},
+        {"table_id": "t10", "question": "How many rows?", "answer": "2"},
+        {"table_id": "no-such-table", "question": "?", "answer": "!"},
+        {"table_id": "t05", "question": "", "answer": "!"},
+    ]
+    (tmp_path / "qa.json").write_text(json.dumps(qa), encoding="utf-8")
+    counts = {name: [6, 3] for name in SIX_TASKS}
+    return PipelineConfig.from_file(_write_config(
+        tmp_path, counts, master_seed=23, multiturn_fraction=0.6, qa_pairs_path="qa.json",
+        tcl_cells_per_sample=6,
+    ))  # fmt: skip
+
+
+def test_cmd_synth_shards_write_the_serial_bytes(tmp_path, monkeypatch):
+    config = _sharding_corpus(tmp_path)
+    # more shards than this machine may have CPUs: the split, not the CPU
+    # count, is under test
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+    manifests = [cmd_synth(config, tmp_path / f"w{workers}", workers=workers) for workers in (1, 2, 3)]
+    for workers in (2, 3):
+        _assert_same_tree(tmp_path / "w1", tmp_path / f"w{workers}")
+    manifest = manifests[0]
+    assert manifest["corpus"] == {"tables": 23, "skipped_files": 2}
+    assert manifest["qa_pairs_skipped"] == 2
+    assert manifest["shortfalls"] == {"tcl-eval": 3}
+    assert manifest["conversations"] > 0
+
+    records = [json.loads(line) for line in (tmp_path / "w1" / "samples.jsonl").read_text(encoding="utf-8").splitlines()]
+    # the bare id went to b/dup.html, a 1x2 table, once a/dup.json failed
+    dup = [r["meta"] for r in records if r["table_id"] == "dup"]
+    assert dup and all((meta["n_rows"], meta["n_cols"]) == (1, 2) for meta in dup)
+    assert "dup-2" not in {r["table_id"] for r in records}
+    # synthesize, in one process over the loaded corpus, gives the same records
+    result = tasks.synthesize(
+        load_corpus(tmp_path / "corpus").tables,
+        config.to_synth_config(),
+        qa_pairs=config.resolve_qa_pairs(),
+    )
+    assert [s.to_dict() for s in result.samples] == records
+
+
+def test_cmd_synth_shards_under_the_spawn_start_method(tmp_path):
+    config = _sharding_corpus(tmp_path)
+    cmd_synth(config, tmp_path / "w1", workers=1)
+    script = (
+        "import multiprocessing, sys\n"
+        "from tablekit import pipeline\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "pipeline._usable_cpus = lambda: 2\n"
+        "config = pipeline.PipelineConfig.from_file(sys.argv[1])\n"
+        "pipeline.cmd_synth(config, sys.argv[2], workers=2)\n"
+    )
+    src = Path(pipeline.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "config.json"), str(tmp_path / "w2")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    _assert_same_tree(tmp_path / "w1", tmp_path / "w2")
+
+
+def test_an_exception_in_a_shard_process_reaches_the_caller(tmp_path):
+    shard = pipeline._ShardProcess()
+    try:
+        # build before read: the shard holds no table for the file
+        shard.send("build", {str(tmp_path / "never-read.json"): "x"}, None, None, None, None, None, tmp_path)
+        with pytest.raises(KeyError) as caught:
+            shard.recv()
+        assert "in a synth shard process" in str(caught.value.__cause__)
+    finally:
+        shard.close()
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,7 +22,9 @@ from tablekit.tasks import (
     SynthConfig,
     compose_multiturn,
     derive_seed,
+    materialize,
     partition_tables,
+    plan,
     synth_mcd,
     synth_rce,
     synth_tce,
@@ -30,6 +32,7 @@ from tablekit.tasks import (
     synth_tr,
     synth_tsd,
     synthesize,
+    unique_cell_count,
     unique_nonempty_anchors,
     wrap_qa,
 )
@@ -146,6 +149,7 @@ def test_tcl_inverse_lookup_random():
     for i in range(80):
         t = _random_table(rng, i)
         candidates = unique_nonempty_anchors(t)
+        assert unique_cell_count(t) == len(candidates)
         if len(candidates) < 3:
             continue
         s = synth_tcl(t, 3, _ctx(seed=rng.randrange(2**32)))
@@ -365,6 +369,32 @@ def test_synthesize_deterministic():
     a = synthesize(tables, config)
     b = synthesize(tables, config)
     assert [s.to_dict() for s in a.samples] == [s.to_dict() for s in b.samples]
+
+
+def test_materialize_over_disjoint_tables_builds_disjoint_shares_of_synthesize():
+    tables = _corpus(30)
+    config = SynthConfig(
+        counts={t: (6, 3) for t in STRUCTURE_TASKS},
+        multiturn_fraction=0.5,
+        tcl_cells_per_sample=4,
+        master_seed=13,
+    )
+    qa = [{"table_id": t.source_id, "question": "Which?", "answer": str(i)} for i, t in enumerate(tables[::4])]
+    whole = synthesize(tables, config, qa_pairs=qa)
+    assert whole.conversations and whole.consumed_singles
+    by_id = {t.source_id: t for t in tables}
+    planned = plan({tid: unique_cell_count(t) for tid, t in by_id.items()}, config, qa)
+    assert planned.consumed_singles == whole.consumed_singles
+    merged: dict = {}
+    styles: dict = {}
+    for k in range(3):
+        share, share_styles = materialize(planned, {tid: by_id[tid] for tid in sorted(by_id)[k::3]}, config)
+        assert not merged.keys() & share.keys()
+        assert all(sample.table_id in share_styles for sample in share.values())
+        merged.update(share)
+        styles.update(share_styles)
+    assert [merged[p] for p in range(len(merged))] == list(whole.samples)
+    assert styles == whole.styles
 
 
 def test_synthesize_reports_shortfalls():
