@@ -368,13 +368,10 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
 
     An empty response (extraction Failed) hard-zeroes every score for the
     sample; in particular it never collects the empty-vs-empty set match.
-    A tr answer is scored in tr_format, or, when that is None, in the
-    format sniffed from the gold answer.
+    A tr answer is scored in tr_format, a TableFormat value that every tr
+    answer needs (_flatten_gold gives one to each); other tasks take None.
     """
-    fmt = None
-    if task is TaskKind.TR:
-        gold_table = str(gold_answer.get("answer", ""))
-        fmt = TableFormat(tr_format) if tr_format else sniff_format(gold_table)
+    fmt = TableFormat(tr_format) if task is TaskKind.TR else None
     extraction: ExtractionResult = extract_json_answer(response, task)
     payload = extraction.payload
     record: dict = {"extraction": extraction.status.value}
@@ -405,7 +402,7 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
             pred_table = str(payload["answer"])
         else:
             pred_table = str(payload)
-        record["teds"] = teds(pred_table, gold_table, fmt)
+        record["teds"] = teds(pred_table, str(gold_answer.get("answer", "")), fmt)
         record["format"] = fmt.value
     else:  # QA_WRAP
         gold_text = gold_answer.get("answer", "")

@@ -96,7 +96,7 @@ class PipelineConfig:
         unknown = set(raw).difference(_COERCE)
         if unknown:
             raise PipelineConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "corpus_dir" not in raw:
+        if raw.get("corpus_dir") is None:
             raise PipelineConfigError("config lacks corpus_dir")
         values = {}
         for key, value in raw.items():
@@ -215,11 +215,16 @@ def _path(value: object) -> str | None:
     return value
 
 
+def _command(value: object) -> str | None:
+    """A raster command template that CommandRasterizer takes."""
+    return value if _path(value) is None else CommandRasterizer(value).template
+
+
 # the one coercion of each config key (a field of PipelineConfig other than
 # base_dir); a key left out takes the field default, and null is the default
 # of a key whose default is None
 _COERCE = {
-    "corpus_dir": str,
+    "corpus_dir": _path,
     "master_seed": json_int,
     "counts": _counts,
     "tce_cells_per_sample": json_int,
@@ -230,7 +235,7 @@ _COERCE = {
     "style_ranges_path": _path,
     "template_pool_path": _path,
     "qa_pairs_path": _path,
-    "rasterizer_command": _path,
+    "rasterizer_command": _command,
     "raster_dpi": _positive_int,
 }
 
@@ -245,30 +250,25 @@ class CorpusLoad:
     tables: list[Table]
     skipped: list[tuple[str, str]]  # (path, reason)
 
-    @property
-    def skipped_count(self) -> int:
-        return len(self.skipped)
+
+def _is_table_file(path: Path) -> bool:
+    return detect_format(path) is not None or path.suffix.lower() == ".json"
 
 
-_CORPUS_SUFFIXES = (".json", ".html", ".htm", ".md", ".markdown", ".tex")
-
-
-def _load_table_file(path: Path, source_id: str | None = None) -> Table:
-    """One valid table from a file; source_id, when given, replaces the file's own.
+def _load_table_file(path: Path) -> Table:
+    """One valid table from a file.
 
     A file that cannot be read raises OSError; any other failure, from bytes
     that are not UTF-8 to a table that does not tile, is a ParseError naming
     the file."""
-    fmt = detect_format(path)
-    if fmt is None and path.suffix.lower() != ".json":
+    if not _is_table_file(path):
         raise ParseError(str(path), f"unsupported extension {path.suffix!r}")
+    fmt = detect_format(path)
     try:
         text = path.read_text(encoding="utf-8")
         table = table_from_json(text) if fmt is None else parse(text, fmt)[0]
     except (UnicodeDecodeError, InvalidTable, ParseError) as exc:
         raise ParseError(str(path), str(exc)) from exc
-    if source_id is not None:
-        table = dataclasses.replace(table, source_id=source_id)
     verdict = checked(table)
     if not verdict.ok:
         raise ParseError(str(path), f"invalid table: {verdict.problem}")
@@ -276,63 +276,54 @@ def _load_table_file(path: Path, source_id: str | None = None) -> Table:
 
 
 def _corpus_paths(corpus_dir: Path) -> list[Path]:
-    """Every recognized table file under the directory, recursively, in sorted order."""
+    """Every table file under the directory, recursively, in sorted order."""
     if not corpus_dir.is_dir():
         raise PipelineConfigError(f"corpus directory not found: {corpus_dir}")
-    return sorted(
-        p for p in corpus_dir.rglob("*") if p.is_file() and p.suffix.lower() in _CORPUS_SUFFIXES
-    )
+    return sorted(p for p in corpus_dir.rglob("*") if p.is_file() and _is_table_file(p))
 
 
-class _TableIds:
-    """The id rule for corpus tables, fed the files in sorted path order: a
-    table's id is its file stem, or, when an earlier table holds that id, the
-    stem with the first free suffix -2, -3, ... A file that is skipped takes
-    no id."""
-
-    def __init__(self) -> None:
-        self._taken: set[str] = set()
-        self._resume: dict[str, int] = {}  # per stem, the suffix below which every id is taken
-
-    def next(self, stem: str) -> str:
-        """The id the next file with this stem gets if it is read."""
-        n = self._resume.get(stem, 1)
-        while (table_id := stem if n == 1 else f"{stem}-{n}") in self._taken:
-            n += 1
-        self._resume[stem] = n
-        return table_id
-
-    def take(self, table_id: str) -> None:
-        self._taken.add(table_id)
-
-
-def _read_corpus_file(path: Path, source_id: str | None = None) -> Table | str:
+def _read_corpus_file(path: Path) -> Table | str:
     """The file's table, or the reason the file is skipped."""
     try:
-        return _load_table_file(path, source_id)
+        return _load_table_file(path)
     except Exception as exc:  # malformed corpus entries must never abort the run
         return str(exc)
 
 
-def load_corpus(corpus_dir: str | Path) -> CorpusLoad:
-    """Reads every recognized table file under the directory, recursively.
-
-    Files are visited in sorted path order, and each table takes its id by
-    the rule of _TableIds; malformed files are skipped and reported, never
-    fatal.
-    """
-    tables: list[Table] = []
-    skipped: list[tuple[str, str]] = []
-    ids = _TableIds()
-    for path in _corpus_paths(Path(corpus_dir)):
-        table_id = ids.next(path.stem)
-        table = _read_corpus_file(path, table_id)
-        if isinstance(table, str):
-            skipped.append((str(path), table))
+def _table_ids(paths: Sequence[Path], reports: Sequence[object]) -> dict[int, str]:
+    """The id rule for corpus tables. Given the sorted paths and, per path,
+    what reading it gave (its table or a count, or the reason the file is
+    skipped, a string), the id of each read file, by index: its file stem,
+    or, when an earlier table holds that id, the stem with the first free
+    suffix -2, -3, ... A file that is skipped takes no id."""
+    taken: set[str] = set()
+    resume: dict[str, int] = {}  # per stem, the suffix below which every id is taken
+    ids: dict[int, str] = {}
+    for i, (path, report) in enumerate(zip(paths, reports)):
+        if isinstance(report, str):
             continue
-        ids.take(table_id)
-        tables.append(table)
-    return CorpusLoad(tables=tables, skipped=skipped)
+        stem = path.stem
+        n = resume.get(stem, 1)
+        while (table_id := stem if n == 1 else f"{stem}-{n}") in taken:
+            n += 1
+        resume[stem] = n + 1
+        taken.add(table_id)
+        ids[i] = table_id
+    return ids
+
+
+def load_corpus(corpus_dir: str | Path) -> CorpusLoad:
+    """Reads and numbers every table file under the directory, recursively,
+    as synth does: files in sorted path order, each table's id by the rule
+    of _table_ids; malformed files are skipped and reported, never fatal.
+    """
+    paths = _corpus_paths(Path(corpus_dir))
+    reports = [_read_corpus_file(path) for path in paths]
+    ids = _table_ids(paths, reports)
+    return CorpusLoad(
+        tables=[dataclasses.replace(reports[i], source_id=table_id) for i, table_id in ids.items()],
+        skipped=[(str(path), report) for path, report in zip(paths, reports) if isinstance(report, str)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +535,11 @@ def cmd_synth(
         for k, shard in enumerate(shards):
             reports[k::n] = shard.recv()
 
-        ids = _TableIds()
-        unique_cells: dict[str, int] = {}
+        ids = _table_ids(paths, reports)
+        unique_cells = {table_id: reports[i] for i, table_id in ids.items()}
         shard_ids: list[dict[str, str]] = [{} for _ in shards]
-        for i, (path, report) in enumerate(zip(paths, reports)):
-            table_id = ids.next(path.stem)
-            if isinstance(report, int):
-                ids.take(table_id)
-                unique_cells[table_id] = report
-                shard_ids[i % n][str(path)] = table_id
+        for i, table_id in ids.items():
+            shard_ids[i % n][str(paths[i])] = table_id
         planned = plan(unique_cells, synth_config, qa_pairs)
 
         # images from an earlier run into the same directory would outlive

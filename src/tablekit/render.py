@@ -372,21 +372,29 @@ class CommandRasterizer:
     """Backend that shells out to an external converter.
 
     The template gets {input}, {output}, {width}, {height}, {dpi} substituted,
-    e.g. "rsvg-convert -w {width} -h {height} -o {output} {input}".
+    e.g. "rsvg-convert -w {width} -h {height} -o {output} {input}". A
+    template that does not format with these five, such as one that names
+    another placeholder, raises ValueError here, before any command runs.
     """
 
     def __init__(self, template: str):
         self.template = template
+        try:
+            self._argv(input="table.svg", output="table.png", width=1, height=1, dpi=96)
+        except KeyError as exc:
+            raise ValueError(f"raster command template {template!r}: unknown placeholder {{{exc.args[0]}}}") from None
+        except (AttributeError, IndexError, ValueError) as exc:
+            raise ValueError(f"raster command template {template!r}: {exc}") from None
+
+    def _argv(self, **fields: object) -> list[str]:
+        return [part.format(**fields) for part in self.template.split()]
 
     def __call__(self, svg_text: str, width: int, height: int, dpi: int) -> bytes:
         with tempfile.TemporaryDirectory(prefix="tablekit-raster-") as tmp:
             src = Path(tmp) / "table.svg"
             dst = Path(tmp) / "table.png"
             src.write_text(svg_text, encoding="utf-8")
-            cmd = [
-                part.format(input=str(src), output=str(dst), width=width, height=height, dpi=dpi)
-                for part in self.template.split()
-            ]
+            cmd = self._argv(input=str(src), output=str(dst), width=width, height=height, dpi=dpi)
             try:
                 proc = subprocess.run(cmd, capture_output=True, timeout=120)
             except FileNotFoundError as exc:

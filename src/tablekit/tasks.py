@@ -348,19 +348,13 @@ class SynthResult:
     conversations: int
     consumed_singles: int
     qa_pairs_skipped: int
-    # the style drawn for each table a sample refers to, by table id
-    styles: dict[str, StyleSpec] = field(default_factory=dict)
 
 
-def partition_tables(
-    pairs: Sequence[tuple[str, T]], config: SynthConfig
-) -> tuple[tuple[tuple[str, T], ...], tuple[tuple[str, T], ...]]:
-    """Disjoint (train, eval) pools of (table id, value) pairs, shuffled under
-    the master seed and split in proportion to the aggregate per-split
-    demand; the values ride along."""
-    ordered = sorted(pairs, key=lambda p: p[0])
+def partition_tables(table_ids: Iterable[str], config: SynthConfig) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Disjoint (train, eval) pools of table ids, shuffled under the master
+    seed and split in proportion to the aggregate per-split demand."""
+    shuffled = sorted(table_ids)
     rng = random.Random(derive_seed(config.master_seed, "partition"))
-    shuffled = list(ordered)
     rng.shuffle(shuffled)
     total_train = sum(c[0] for c in config.counts.values())
     total_eval = sum(c[1] for c in config.counts.values())
@@ -427,8 +421,8 @@ def plan(
     wrapped.
     """
     config = config if config is not None else SynthConfig()
-    train_pool, eval_pool = partition_tables(list(unique_cells.items()), config)
-    pools = {"train": [tid for tid, _ in train_pool], "eval": [tid for tid, _ in eval_pool]}
+    train_ids, eval_ids = partition_tables(unique_cells, config)
+    pools = {"train": train_ids, "eval": eval_ids}
 
     singles: list[PlannedSample] = []
     shortfalls: dict[str, int] = {}
@@ -570,12 +564,11 @@ def synthesize(
         table_by_id[table_id] = table
     unique_cells = {tid: unique_cell_count(t) for tid, t in table_by_id.items()}
     planned = plan(unique_cells, config, qa_pairs)
-    samples, styles = materialize(planned, table_by_id, config, pool, style_mix, style_ranges)
+    samples, _ = materialize(planned, table_by_id, config, pool, style_mix, style_ranges)
     return SynthResult(
         samples=tuple(samples[p] for p in range(len(planned.outputs))),
         shortfalls=planned.shortfalls,
         conversations=planned.conversations,
         consumed_singles=planned.consumed_singles,
         qa_pairs_skipped=planned.qa_pairs_skipped,
-        styles=styles,
     )

@@ -34,6 +34,7 @@ from tablekit.pipeline import (
 from tablekit.render import default_style_ranges
 
 import oracles
+from scaling import growth_ratio
 
 SIX_TASKS = ("tsd", "tce", "tcl", "mcd", "rce", "tr")
 
@@ -128,6 +129,13 @@ def test_config_rejects_bad_shapes(tmp_path):
     {"raster_dpi": "x"},
     {"multiturn_fraction": {}},
     {"qa_pairs_path": 5},
+    # a path is a string, and corpus_dir is required
+    {"corpus_dir": 5},
+    {"corpus_dir": None},
+    {"corpus_dir": [1]},
+    # a raster command template formats with its five placeholders only
+    {"rasterizer_command": "echo {inptu} {output}"},
+    {"rasterizer_command": "echo { {output}"},
     # integer keys take JSON integers only
     {"master_seed": 3.7},
     {"master_seed": float("inf")},
@@ -202,7 +210,7 @@ def test_load_corpus_skips_malformed_and_counts(tmp_path):
         (corpus / name).write_text(_BAD_TABLE_FILES[name][0], encoding="utf-8")
     load = load_corpus(corpus)
     assert len(load.tables) == 4
-    assert load.skipped_count == 11
+    assert len(load.skipped) == 11
     reasons = {path.rsplit("/", 1)[-1]: reason for path, reason in load.skipped}
     assert set(reasons) == {"broken.html", "broken.json", "badgrid.json", *oversize, *mistyped}
     assert reasons["badgrid.json"].endswith("invalid table: gap at (1,2)")
@@ -242,6 +250,18 @@ def test_load_corpus_deduplicates_stems(tmp_path):
     for record in records:
         gold = record["gold_answer"]
         assert (gold["row_number"], gold["column_number"]) == sizes[record["table_id"]]
+
+
+def test_table_ids_of_one_stem_in_many_directories_stay_linear():
+    # each file resumes its stem's suffix search where the last one ended;
+    # searching from the bare stem every time would make this quadratic
+    def make(n):
+        return [Path(f"d{i:06d}") / "t.html" for i in range(n)], [1] * n
+
+    paths, reports = make(3)
+    assert pipeline._table_ids(paths, reports) == {0: "t", 1: "t-2", 2: "t-3"}
+    ratio = growth_ratio(lambda args: pipeline._table_ids(*args), make, 2_000)
+    assert ratio < 9, ratio
 
 
 def test_synthesize_refuses_a_repeated_table_id():
@@ -713,6 +733,17 @@ def test_cmd_render_png_via_command_backend(tmp_path):
     out = cmd_render(src, tmp_path / "a.png", image_format="png", config=config)
     # the stand-in backend copies the svg bytes through the png path
     assert out.read_bytes().startswith(b"<svg")
+
+
+@pytest.mark.parametrize("template", ["echo {inptu} {output}", "echo { {output}"])
+def test_cli_render_refuses_a_rasterizer_command_that_does_not_format(tmp_path, capsys, template):
+    config = tmp_path / "render.json"
+    config.write_text(json.dumps({"corpus_dir": "c", "rasterizer_command": template}), encoding="utf-8")
+    args = ["render", str(_one_table_file(tmp_path)), "--out", str(tmp_path / "t.png"), "--format", "png"]
+    assert main(args + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad config value for rasterizer_command: raster command template {template!r}: "), err
+    assert not (tmp_path / "t.png").exists()
 
 
 def test_cli_render_png_dpi_is_the_config_raster_dpi_unless_given(tmp_path, monkeypatch):

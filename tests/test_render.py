@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import xml.etree.ElementTree as ET
 from importlib import resources
 
@@ -352,6 +353,18 @@ def test_command_rasterizer_round_trip(tmp_path):
     out = rasterize(svg, dpi=96, backend=backend)
     w, _ = raster_dimensions(svg, 96)
     assert out == b"PNG" + str(w).encode()
+
+
+@pytest.mark.parametrize("template, reason", [
+    ("echo {inptu} {output}", "unknown placeholder {inptu}"),
+    ("echo {output:{bogus}}", "unknown placeholder {bogus}"),
+    ("echo {} {output}", "Replacement index 0 out of range"),
+    ("echo { {output}", "Single '{' encountered in format string"),
+    ("echo {dpi:q} {output}", "Unknown format code 'q'"),
+])  # fmt: skip
+def test_command_rasterizer_refuses_a_template_that_does_not_format(template, reason):
+    with pytest.raises(ValueError, match=re.escape(f"raster command template {template!r}: {reason}")):
+        CommandRasterizer(template)
 
 
 def test_command_rasterizer_missing_command():

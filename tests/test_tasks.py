@@ -394,7 +394,7 @@ def test_materialize_over_disjoint_tables_builds_disjoint_shares_of_synthesize()
         merged.update(share)
         styles.update(share_styles)
     assert [merged[p] for p in range(len(merged))] == list(whole.samples)
-    assert styles == whole.styles
+    assert styles == materialize(planned, by_id, config)[1]
 
 
 def test_synthesize_reports_shortfalls():
@@ -502,11 +502,10 @@ def test_gold_answers_match_brute_force_random():
 
 def test_partition_respects_demand_ratio():
     tables = _corpus(100)
-    pairs = [(t.source_id, t) for t in tables]
     config = SynthConfig(counts={t: (80, 10) for t in STRUCTURE_TASKS}, master_seed=0)
-    train, evals = partition_tables(pairs, config)
+    train, evals = partition_tables([t.source_id for t in tables], config)
     assert len(train) + len(evals) == 100
-    assert not {t for t, _ in train} & {t for t, _ in evals}
+    assert not set(train) & set(evals)
     # 60 eval demand out of 540 total demand, so about 11 of 100 tables
     assert 5 <= len(evals) <= 20
 
