@@ -49,7 +49,6 @@ class Table:
     n_cols: int
     anchors: tuple[AnchorCell, ...]
     caption: str | None = None
-    source_id: str | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.anchors, tuple):
@@ -179,7 +178,7 @@ def merged_regions(table: Table) -> list[tuple[CellRef, CellRef]]:
 
 
 def table_to_dict(table: Table) -> dict[str, Any]:
-    out: dict[str, Any] = {
+    return {
         "n_rows": table.n_rows,
         "n_cols": table.n_cols,
         "caption": table.caption,
@@ -195,9 +194,6 @@ def table_to_dict(table: Table) -> dict[str, Any]:
             for a in table.anchors
         ],
     }
-    if table.source_id is not None:
-        out["source_id"] = table.source_id
-    return out
 
 
 # the JSON types of table fields that are not integers (numeric.json_int)
@@ -222,8 +218,9 @@ def _read(obj: dict[str, Any], key: str, kind: str, default: Any = _REQUIRED) ->
 def table_from_dict(data: dict[str, Any]) -> Table:
     """A table from its JSON object, with the JSON types as written: integers,
     never booleans, for sizes, positions and spans; a string for content; a
-    boolean for is_header; a string or null for caption and source_id.
-    Anything else raises InvalidTable("malformed table object: ...")."""
+    boolean for is_header; a string or null for caption. Anything else
+    raises InvalidTable("malformed table object: ..."); a key the object
+    does not define is ignored."""
     try:
         if not isinstance(data["anchors"], list) or not all(isinstance(a, dict) for a in data["anchors"]):
             raise TypeError("anchors: expected a list of objects")
@@ -243,7 +240,6 @@ def table_from_dict(data: dict[str, Any]) -> Table:
             n_cols=_read(data, "n_cols", "an integer"),
             anchors=anchors,
             caption=_read(data, "caption", "a string or null", None),
-            source_id=_read(data, "source_id", "a string or null", None),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidTable(f"malformed table object: {exc}") from exc

@@ -9,7 +9,6 @@ byte regardless of worker count; the manifest carries no timestamps.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -247,7 +246,7 @@ _COERCE = {
 
 @dataclass
 class CorpusLoad:
-    tables: list[Table]
+    tables: dict[str, Table]  # by id
     skipped: list[tuple[str, str]]  # (path, reason)
 
 
@@ -314,14 +313,14 @@ def _table_ids(paths: Sequence[Path], reports: Sequence[object]) -> dict[int, st
 
 def load_corpus(corpus_dir: str | Path) -> CorpusLoad:
     """Reads and numbers every table file under the directory, recursively,
-    as synth does: files in sorted path order, each table's id by the rule
-    of _table_ids; malformed files are skipped and reported, never fatal.
+    as synth does: the tables by id, in sorted path order, each id by the
+    rule of _table_ids; malformed files are skipped and reported, never fatal.
     """
     paths = _corpus_paths(Path(corpus_dir))
     reports = [_read_corpus_file(path) for path in paths]
     ids = _table_ids(paths, reports)
     return CorpusLoad(
-        tables=[dataclasses.replace(reports[i], source_id=table_id) for i, table_id in ids.items()],
+        tables={table_id: reports[i] for i, table_id in ids.items()},
         skipped=[(str(path), report) for path, report in zip(paths, reports) if isinstance(report, str)],
     )
 
@@ -691,7 +690,7 @@ def cmd_render(
     if image_format != "png":
         raise PipelineConfigError(f"unsupported image format {image_format!r}")
     command = config.rasterizer_command if config is not None else None
-    backend = CommandRasterizer(command) if command else None
+    backend = CommandRasterizer(command) if command is not None else None
     if dpi is None:
         dpi = config.raster_dpi if config is not None else 96
     out.write_bytes(rasterize(svg, dpi=dpi, backend=backend))

@@ -288,12 +288,12 @@ def _header_row_count(table: Table) -> int:
     return count
 
 
-def render_svg(table: Table, style: StyleSpec, plan: LayoutPlan | None = None) -> str:
+def render_svg(table: Table, style: StyleSpec) -> str:
     """Byte-stable SVG: one rect and one text element per anchor, row-major;
     header fill on header cells, zebra fill on every second data row when set;
     the markdown family draws horizontal rules instead of cell borders; the
     caption is shown (centered, above the grid) for the web_page family only."""
-    plan = plan or layout(table, style)
+    plan = layout(table, style)
     pad = style.cell_padding
     lh = line_height(style.font_size)
     total_w, total_h = plan.total_size
@@ -373,12 +373,15 @@ class CommandRasterizer:
 
     The template gets {input}, {output}, {width}, {height}, {dpi} substituted,
     e.g. "rsvg-convert -w {width} -h {height} -o {output} {input}". A
-    template that does not format with these five, such as one that names
-    another placeholder, raises ValueError here, before any command runs.
+    template that names no command, or does not format with these five,
+    such as one that names another placeholder, raises ValueError here,
+    before any command runs.
     """
 
     def __init__(self, template: str):
         self.template = template
+        if not template.split():
+            raise ValueError(f"raster command template {template!r}: names no command")
         try:
             self._argv(input="table.svg", output="table.png", width=1, height=1, dpi=96)
         except KeyError as exc:

@@ -544,27 +544,18 @@ def materialize(
 
 
 def synthesize(
-    tables: Iterable[Table],
+    tables: Mapping[str, Table],
     config: SynthConfig | None = None,
     pool: TemplatePool | None = None,
     qa_pairs: Sequence[Mapping[str, str]] = (),
     style_mix: StyleMix | None = None,
     style_ranges: dict | None = None,
 ) -> SynthResult:
-    """Generates the configured sample counts from the table corpus: plan,
-    then materialize over every table (see both).
-
-    A table id (source_id, else table-<index>) given twice raises ValueError.
-    """
-    table_by_id: dict[str, Table] = {}
-    for i, table in enumerate(tables):
-        table_id = table.source_id or f"table-{i:05d}"
-        if table_id in table_by_id:
-            raise ValueError(f"table id {table_id!r} is repeated")
-        table_by_id[table_id] = table
-    unique_cells = {tid: unique_cell_count(t) for tid, t in table_by_id.items()}
+    """Generates the configured sample counts from the tables, by id: plan,
+    then materialize over every table (see both)."""
+    unique_cells = {table_id: unique_cell_count(table) for table_id, table in tables.items()}
     planned = plan(unique_cells, config, qa_pairs)
-    samples, _ = materialize(planned, table_by_id, config, pool, style_mix, style_ranges)
+    samples, _ = materialize(planned, tables, config, pool, style_mix, style_ranges)
     return SynthResult(
         samples=tuple(samples[p] for p in range(len(planned.outputs))),
         shortfalls=planned.shortfalls,

@@ -65,14 +65,9 @@ def _ctx(i: int, tag: str) -> SampleContext:
     )
 
 
-def _random_tables(seed: int, n: int, **kwargs) -> list[Table]:
+def _random_tables(seed: int, n: int, **kwargs) -> dict[str, Table]:
     rng = random.Random(seed)
-    out = []
-    for i in range(n):
-        data = oracles.random_table_dict(rng, **kwargs)
-        data["source_id"] = f"tbl-{i:04d}"
-        out.append(table_from_dict(data))
-    return out
+    return {f"tbl-{i:04d}": table_from_dict(oracles.random_table_dict(rng, **kwargs)) for i in range(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +156,6 @@ def test_c4_gold_soundness_1000_tables():
     started = time.monotonic()
     for i in range(1000):
         data = oracles.random_table_dict(rng)
-        data["source_id"] = f"tbl-{i:04d}"
         table = table_from_dict(data)
 
         tsd = synth_tsd(table, _ctx(i, "tsd")).gold_answer
@@ -397,7 +391,7 @@ def test_c8b_fuzz_structure_tasks_never_score(tmp_path):
     # golds: real synthesized answers; merged-cell golds drawn from tables
     # that actually have spans, so an empty prediction set can never tie
     mixed = _random_tables(10018, 60)
-    spanned = [t for t in _random_tables(10028, 400) if t.has_spans()][:60]
+    spanned = dict([(tid, t) for tid, t in _random_tables(10028, 400).items() if t.has_spans()][:60])
     assert len(spanned) == 60
     structure_config = SynthConfig(
         counts={

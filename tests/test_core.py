@@ -127,7 +127,7 @@ def test_validity_is_computed_once_per_table_instance(monkeypatch):
         serialize(table, TableFormat.LATEX)
     assert len(calls) == 1
     # a replaced table is a new instance, checked afresh
-    assert checked(dataclasses.replace(table, source_id="t")).ok
+    assert checked(dataclasses.replace(table, caption="t")).ok
     assert len(calls) == 2
 
     broken = t(2, 2, [a(1, 1)])

@@ -1043,12 +1043,7 @@ def test_score_sample_tr_raw_latex_with_empty_spanning_cell():
 
 def _corpus(seed: int, n: int):
     rng = random.Random(seed)
-    tables = []
-    for i in range(n):
-        data = oracles.random_table_dict(rng)
-        data["source_id"] = f"tbl-{i:04d}"
-        tables.append(table_from_dict(data))
-    return tables
+    return {f"tbl-{i:04d}": table_from_dict(oracles.random_table_dict(rng)) for i in range(n)}
 
 
 def _synth_result(multiturn: float = 0.0):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tablekit import pipeline, tasks
+from tablekit import core, pipeline, tasks
 from tablekit.cli import main
 from tablekit.core import table_from_dict, table_to_dict
 from tablekit.formats import serialize
@@ -133,9 +133,12 @@ def test_config_rejects_bad_shapes(tmp_path):
     {"corpus_dir": 5},
     {"corpus_dir": None},
     {"corpus_dir": [1]},
-    # a raster command template formats with its five placeholders only
+    # a raster command template names a command and formats with its five
+    # placeholders only
     {"rasterizer_command": "echo {inptu} {output}"},
     {"rasterizer_command": "echo { {output}"},
+    {"rasterizer_command": ""},
+    {"rasterizer_command": "  "},
     # integer keys take JSON integers only
     {"master_seed": 3.7},
     {"master_seed": float("inf")},
@@ -183,9 +186,35 @@ def test_load_corpus_mixed_formats(tmp_path):
     assert len(load.tables) == 12
     assert load.skipped == []
     # sorted walk puts ids in file order and every id is the file stem
-    ids = [t.source_id for t in load.tables]
+    ids = list(load.tables)
     assert ids == sorted(ids)
     assert all(tid.startswith("t0") for tid in ids)
+
+
+def test_load_corpus_tables_keep_the_verdict_of_their_read(tmp_path, monkeypatch):
+    # load_corpus hands on the tables its reads checked, not copies of them,
+    # so using a loaded table never validates it again
+    load = load_corpus(_make_corpus(tmp_path, n=6))
+    assert len(load.tables) == 6
+    calls = []
+    real_validate = core.validate
+    monkeypatch.setattr(core, "validate", lambda table: calls.append(table) or real_validate(table))
+    for table in load.tables.values():
+        core.expand_grid(table)
+    assert calls == []
+
+
+@pytest.mark.parametrize("source_id", ["other", 5])
+def test_load_corpus_ignores_a_source_id_key_in_a_json_table(tmp_path, source_id):
+    # a table's id is its file's; a source_id key, of any type, is a key
+    # the table object does not define
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    data = {"n_rows": 1, "n_cols": 1, "caption": None, "anchors": [{"row": 1, "col": 1, "content": "x"}]}
+    (corpus / "a.json").write_text(json.dumps({**data, "source_id": source_id}), encoding="utf-8")
+    load = load_corpus(corpus)
+    assert load.skipped == []
+    assert load.tables == {"a": table_from_dict(data)}
 
 
 def test_load_corpus_skips_malformed_and_counts(tmp_path):
@@ -232,7 +261,7 @@ def test_load_corpus_deduplicates_stems(tmp_path):
     (corpus / "dup.html").write_text(serialize(table, TableFormat.HTML), encoding="utf-8")
     (corpus / "dup.json").write_text(json.dumps(table_to_dict(table)), encoding="utf-8")
     load = load_corpus(corpus)
-    assert sorted(t.source_id for t in load.tables) == ["dup", "dup-2"]
+    assert sorted(load.tables) == ["dup", "dup-2"]
 
     # a stem whose id a file read earlier holds takes the first free suffix,
     # so each id, and the image it names, belongs to one table
@@ -240,8 +269,8 @@ def test_load_corpus_deduplicates_stems(tmp_path):
     (corpus / "a.html").write_text("<table><tr><td>y</td></tr><tr><td>z</td></tr></table>", encoding="utf-8")
     (corpus / "a.md").write_text("| h | i |\n| --- | --- |\n| 1 | 2 |\n| 3 | 4 |\n", encoding="utf-8")
     load = load_corpus(corpus)
-    assert [t.source_id for t in load.tables] == ["a-2", "a", "a-3", "dup", "dup-2"]
-    sizes = {t.source_id: (t.n_rows, t.n_cols) for t in load.tables}
+    assert list(load.tables) == ["a-2", "a", "a-3", "dup", "dup-2"]
+    sizes = {tid: (t.n_rows, t.n_cols) for tid, t in load.tables.items()}
     out = tmp_path / "out"
     cmd_synth(PipelineConfig.from_file(_write_config(tmp_path, {"tsd": [5, 0]})), out)
     records = [json.loads(line) for line in (out / "samples.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -262,12 +291,6 @@ def test_table_ids_of_one_stem_in_many_directories_stay_linear():
     assert pipeline._table_ids(paths, reports) == {0: "t", 1: "t-2", 2: "t-3"}
     ratio = growth_ratio(lambda args: pipeline._table_ids(*args), make, 2_000)
     assert ratio < 9, ratio
-
-
-def test_synthesize_refuses_a_repeated_table_id():
-    table = table_from_dict({"n_rows": 1, "n_cols": 1, "anchors": [{"row": 1, "col": 1}], "source_id": "a"})
-    with pytest.raises(ValueError, match="table id 'a' is repeated"):
-        tasks.synthesize([table, table])
 
 
 def test_load_corpus_missing_dir(tmp_path):
@@ -735,7 +758,7 @@ def test_cmd_render_png_via_command_backend(tmp_path):
     assert out.read_bytes().startswith(b"<svg")
 
 
-@pytest.mark.parametrize("template", ["echo {inptu} {output}", "echo { {output}"])
+@pytest.mark.parametrize("template", ["echo {inptu} {output}", "echo { {output}", "", "  "])
 def test_cli_render_refuses_a_rasterizer_command_that_does_not_format(tmp_path, capsys, template):
     config = tmp_path / "render.json"
     config.write_text(json.dumps({"corpus_dir": "c", "rasterizer_command": template}), encoding="utf-8")

@@ -290,7 +290,7 @@ def test_render_svg_dimensions_match_layout():
     table = two_by_two()
     s = style()
     plan = layout(table, s)
-    root = parse_svg(render_svg(table, s, plan))
+    root = parse_svg(render_svg(table, s))
     assert int(root.get("width")) == plan.total_size[0]
     assert int(root.get("height")) == plan.total_size[1]
 
@@ -361,6 +361,8 @@ def test_command_rasterizer_round_trip(tmp_path):
     ("echo {} {output}", "Replacement index 0 out of range"),
     ("echo { {output}", "Single '{' encountered in format string"),
     ("echo {dpi:q} {output}", "Unknown format code 'q'"),
+    ("", "names no command"),
+    ("  ", "names no command"),
 ])  # fmt: skip
 def test_command_rasterizer_refuses_a_template_that_does_not_format(template, reason):
     with pytest.raises(ValueError, match=re.escape(f"raster command template {template!r}: {reason}")):

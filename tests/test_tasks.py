@@ -53,19 +53,17 @@ def _ctx(sample_id="s-000000", table_id="tbl-0", seed=7) -> SampleContext:
     )
 
 
-def _grid_table(rows: list[list[str]], **kwargs) -> Table:
+def _grid_table(rows: list[list[str]]) -> Table:
     anchors = tuple(
         AnchorCell(row=r + 1, col=c + 1, content=rows[r][c])
         for r in range(len(rows))
         for c in range(len(rows[0]))
     )
-    return Table(n_rows=len(rows), n_cols=len(rows[0]), anchors=anchors, **kwargs)
+    return Table(n_rows=len(rows), n_cols=len(rows[0]), anchors=anchors)
 
 
-def _random_table(rng: random.Random, i: int, **kwargs) -> Table:
-    data = oracles.random_table_dict(rng, **kwargs)
-    data["source_id"] = f"tbl-{i:04d}"
-    return table_from_dict(data)
+def _random_table(rng: random.Random, **kwargs) -> Table:
+    return table_from_dict(oracles.random_table_dict(rng, **kwargs))
 
 
 def test_tsd_gold():
@@ -119,8 +117,8 @@ def test_tce_k_bounds():
 
 def test_tce_positions_distinct_and_request_mentions_them():
     rng = random.Random(41)
-    for i in range(60):
-        t = _random_table(rng, i)
+    for _ in range(60):
+        t = _random_table(rng)
         k = min(3, t.n_rows * t.n_cols)
         s = synth_tce(t, k, _ctx(seed=rng.randrange(2**32)))
         positions = [tuple(c["position"]) for c in s.gold_answer["cells"]]
@@ -146,8 +144,8 @@ def test_tcl_gold_and_uniqueness_guard():
 def test_tcl_inverse_lookup_random():
     rng = random.Random(99)
     checked = 0
-    for i in range(80):
-        t = _random_table(rng, i)
+    for _ in range(80):
+        t = _random_table(rng)
         candidates = unique_nonempty_anchors(t)
         assert unique_cell_count(t) == len(candidates)
         if len(candidates) < 3:
@@ -177,8 +175,8 @@ def test_mcd_gold():
 
 def test_rce_lines_match_oracle():
     rng = random.Random(5)
-    for i in range(80):
-        t = _random_table(rng, i)
+    for _ in range(80):
+        t = _random_table(rng)
         s = synth_rce(t, _ctx(seed=rng.randrange(2**32)))
         axis = s.gold_answer["axis"]
         assert axis in ("row", "column")
@@ -257,8 +255,8 @@ def test_wrap_qa_envelope():
 
 def test_gold_response_parses_back_to_gold_answer():
     rng = random.Random(2024)
-    for i in range(40):
-        t = _random_table(rng, i)
+    for _ in range(40):
+        t = _random_table(rng)
         seed = rng.randrange(2**32)
         samples = [
             synth_tsd(t, _ctx(seed=seed)),
@@ -273,7 +271,7 @@ def test_gold_response_parses_back_to_gold_answer():
 
 def test_synth_functions_deterministic():
     rng = random.Random(77)
-    t = _random_table(rng, 0)
+    t = _random_table(rng)
     for fn in (synth_tsd, synth_mcd, synth_rce):
         assert fn(t, _ctx(seed=123)) == fn(t, _ctx(seed=123))
     assert synth_tce(t, 1, _ctx(seed=5)) == synth_tce(t, 1, _ctx(seed=5))
@@ -331,9 +329,9 @@ def test_compose_multiturn_fraction_zero():
     assert compose_multiturn(group, fraction=0.0, master_seed=1) == ((), frozenset())
 
 
-def _corpus(n: int, seed: int = 11, **kwargs) -> list[Table]:
+def _corpus(n: int, seed: int = 11, **kwargs) -> dict[str, Table]:
     rng = random.Random(seed)
-    return [_random_table(rng, i, **kwargs) for i in range(n)]
+    return {f"tbl-{i:04d}": _random_table(rng, **kwargs) for i in range(n)}
 
 
 def test_synthesize_exact_counts_and_ids():
@@ -379,22 +377,21 @@ def test_materialize_over_disjoint_tables_builds_disjoint_shares_of_synthesize()
         tcl_cells_per_sample=4,
         master_seed=13,
     )
-    qa = [{"table_id": t.source_id, "question": "Which?", "answer": str(i)} for i, t in enumerate(tables[::4])]
+    qa = [{"table_id": tid, "question": "Which?", "answer": str(i)} for i, tid in enumerate(list(tables)[::4])]
     whole = synthesize(tables, config, qa_pairs=qa)
     assert whole.conversations and whole.consumed_singles
-    by_id = {t.source_id: t for t in tables}
-    planned = plan({tid: unique_cell_count(t) for tid, t in by_id.items()}, config, qa)
+    planned = plan({tid: unique_cell_count(t) for tid, t in tables.items()}, config, qa)
     assert planned.consumed_singles == whole.consumed_singles
     merged: dict = {}
     styles: dict = {}
     for k in range(3):
-        share, share_styles = materialize(planned, {tid: by_id[tid] for tid in sorted(by_id)[k::3]}, config)
+        share, share_styles = materialize(planned, {tid: tables[tid] for tid in sorted(tables)[k::3]}, config)
         assert not merged.keys() & share.keys()
         assert all(sample.table_id in share_styles for sample in share.values())
         merged.update(share)
         styles.update(share_styles)
     assert [merged[p] for p in range(len(merged))] == list(whole.samples)
-    assert styles == materialize(planned, by_id, config)[1]
+    assert styles == materialize(planned, tables, config)[1]
 
 
 def test_synthesize_reports_shortfalls():
@@ -404,15 +401,10 @@ def test_synthesize_reports_shortfalls():
     result = synthesize(tables, config)
     assert result.shortfalls.get("tsd-eval") == 2
     # no table has unique non-empty cells, so TCL cannot be satisfied
-    same = [
-        Table(
-            n_rows=1,
-            n_cols=2,
-            anchors=(AnchorCell(1, 1, content="x"), AnchorCell(1, 2, content="x")),
-            source_id=f"dup-{i}",
-        )
+    same = {
+        f"dup-{i}": Table(n_rows=1, n_cols=2, anchors=(AnchorCell(1, 1, content="x"), AnchorCell(1, 2, content="x")))
         for i in range(4)
-    ]
+    }
     config = SynthConfig(counts={TaskKind.TCL: (3, 0)}, master_seed=0)
     result = synthesize(same, config)
     assert result.shortfalls == {"tcl-train": 3}
@@ -420,15 +412,10 @@ def test_synthesize_reports_shortfalls():
 
 
 def test_synthesize_tcl_probes_past_unusable_tables():
-    tables = [
-        Table(
-            n_rows=1,
-            n_cols=2,
-            anchors=(AnchorCell(1, 1, content="x"), AnchorCell(1, 2, content="x")),
-            source_id="allsame",
-        ),
-        _grid_table([["a", "b", "c"], ["d", "e", "f"]], source_id="rich"),
-    ]
+    tables = {
+        "allsame": Table(n_rows=1, n_cols=2, anchors=(AnchorCell(1, 1, content="x"), AnchorCell(1, 2, content="x"))),
+        "rich": _grid_table([["a", "b", "c"], ["d", "e", "f"]]),
+    }
     config = SynthConfig(counts={TaskKind.TCL: (4, 0)}, master_seed=2)
     result = synthesize(tables, config)
     assert len(result.samples) == 4
@@ -437,7 +424,7 @@ def test_synthesize_tcl_probes_past_unusable_tables():
 
 def test_synthesize_qa_pairs():
     tables = _corpus(12)
-    ids = [t.source_id for t in tables]
+    ids = list(tables)
     qa = [
         {"table_id": ids[0], "question": "How many boats?", "answer": "7"},
         {"table_id": ids[1], "question": "Largest navy?", "answer": "blue"},
@@ -475,8 +462,8 @@ def test_synthesize_multiturn_consumes_singles():
 
 def test_gold_answers_match_brute_force_random():
     rng = random.Random(314)
-    for i in range(300):
-        t = _random_table(rng, i)
+    for _ in range(300):
+        t = _random_table(rng)
         data = table_to_dict(t)
         seed = rng.randrange(2**32)
         ctx = _ctx(seed=seed)
@@ -503,7 +490,7 @@ def test_gold_answers_match_brute_force_random():
 def test_partition_respects_demand_ratio():
     tables = _corpus(100)
     config = SynthConfig(counts={t: (80, 10) for t in STRUCTURE_TASKS}, master_seed=0)
-    train, evals = partition_tables([t.source_id for t in tables], config)
+    train, evals = partition_tables(list(tables), config)
     assert len(train) + len(evals) == 100
     assert not set(train) & set(evals)
     # 60 eval demand out of 540 total demand, so about 11 of 100 tables
@@ -523,8 +510,8 @@ def test_synth_config_validation():
 
 def test_tr_gold_parses_back_to_table():
     rng = random.Random(404)
-    for i in range(60):
-        t = _random_table(rng, i)
+    for _ in range(60):
+        t = _random_table(rng)
         s = synth_tr(t, None, _ctx(seed=rng.randrange(2**32)))
         fmt = TableFormat(s.meta["tr_format"])
         parsed, _ = parse(s.gold_answer["answer"], fmt)
