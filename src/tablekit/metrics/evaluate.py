@@ -58,8 +58,8 @@ def score_tsd(payload: object, gold: Mapping) -> tuple[bool, bool]:
     """Exact integer comparison, each axis judged independently."""
     row_ok = col_ok = False
     if isinstance(payload, dict):
-        row_ok = _as_int(payload.get("row_number")) == gold["row_number"]
-        col_ok = _as_int(payload.get("column_number")) == gold["column_number"]
+        row_ok = _as_int(payload.get("row_number")) == _as_int(gold["row_number"])
+        col_ok = _as_int(payload.get("column_number")) == _as_int(gold["column_number"])
     return row_ok, col_ok
 
 
@@ -112,16 +112,17 @@ def score_set_f1(pred_set: set, gold_set: set) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+def _as_region(value: object) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        corners = _as_position(value[0]), _as_position(value[1])
+        if None not in corners:
+            return corners
+    return None
+
+
 def _region_set(value: object) -> set[tuple[tuple[int, int], tuple[int, int]]]:
-    regions = set()
-    if isinstance(value, (list, tuple)):
-        for item in value:
-            if isinstance(item, (list, tuple)) and len(item) == 2:
-                top_left = _as_position(item[0])
-                bottom_right = _as_position(item[1])
-                if top_left is not None and bottom_right is not None:
-                    regions.add((top_left, bottom_right))
-    return regions
+    regions = {_as_region(item) for item in value} if isinstance(value, (list, tuple)) else set()
+    return regions - {None}
 
 
 def score_mcd(payload: object, gold: Mapping) -> tuple[float, float, float]:
@@ -259,23 +260,35 @@ class _GoldRecord:
 
 
 def _gold_problem(task: TaskKind, gold_answer: object, tr_format: object) -> str | None:
-    """What a task's scorer would trip over in this gold answer, if anything."""
+    """What a task's scorer would trip over in this gold answer, if anything:
+    each item is read the way its scorer reads a prediction, so the scorer
+    drops none of them and no answer scores zero against every one."""
     if not isinstance(gold_answer, dict):
         return "gold_answer is not an object"
     if task is TaskKind.TSD:
-        missing = [key for key in ("row_number", "column_number") if key not in gold_answer]
-        if missing:
-            return f"tsd gold_answer lacks {', '.join(missing)}"
+        unread = [k for k in ("row_number", "column_number") if _as_int(gold_answer.get(k)) is None]
+        if unread:
+            return f"tsd gold_answer needs an integer {', '.join(unread)}"
     elif task in (TaskKind.TCE, TaskKind.TCL):
         cells = gold_answer.get("cells")
         if not isinstance(cells, list) or not cells:
             return f"{task.value} gold_answer needs a non-empty cells list"
-        if not all(isinstance(cell, dict) and "position" in cell and "value" in cell for cell in cells):
-            return f"{task.value} gold cells need a position and a value"
+        readable = (isinstance(c, dict) and "value" in c and _as_position(c.get("position")) for c in cells)
+        if not all(readable):
+            return f"{task.value} gold cells need a [row, column] position and a value"
+    elif task is TaskKind.MCD:
+        regions = gold_answer.get("regions", [])
+        if not isinstance(regions, list) or None in map(_as_region, regions):
+            return "mcd gold regions need a list of [[row, column], [row, column]] pairs"
     elif task is TaskKind.RCE:
         lines = gold_answer.get("lines")
-        if not isinstance(lines, dict) or not lines:
-            return "rce gold_answer needs a non-empty lines object"
+        if not isinstance(lines, dict) or not lines or not all(
+            isinstance(cells, list) and cells and all(isinstance(c, (str, int, float)) for c in cells)
+            for cells in lines.values()
+        ):
+            return "rce gold_answer needs a non-empty lines object of non-empty cell lists"
+        if gold_answer.get("axis", "row") not in ("row", "column"):
+            return f"rce gold axis {gold_answer['axis']!r} is neither row nor column"
     elif task is TaskKind.TR and tr_format is not None:
         if tr_format not in [fmt.value for fmt in TableFormat]:
             return f"unknown tr_format {tr_format!r}"
@@ -344,40 +357,19 @@ def _prediction_map(records: Iterable[dict]) -> dict[str, str]:
     return responses
 
 
-def _zero_scores(task: TaskKind, gold_answer: Mapping, fmt: TableFormat | None) -> dict:
-    if task is TaskKind.TSD:
-        return {"row_correct": False, "column_correct": False}
-    if task in (TaskKind.TCE, TaskKind.TCL):
-        return {"cell_accuracy": 0.0}
-    if task is TaskKind.MCD:
-        return {"precision": 0.0, "recall": 0.0, "f1": 0.0}
-    if task is TaskKind.RCE:
-        return {"f1": 0.0, "axis": gold_answer.get("axis", "row")}
-    if task is TaskKind.TR:
-        return {"teds": 0.0, "format": fmt.value}
-    gold_text = gold_answer.get("answer", "")
-    return {
-        "correct": False,
-        "pred_text": "",
-        "gold_text": gold_text if isinstance(gold_text, str) else json.dumps(gold_text),
-    }
-
-
 def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format: str | None) -> dict:
-    """One sample's scores plus the extraction status, as a plain dict.
+    """One sample's scores plus the extraction route, as a plain dict.
 
-    An empty response (extraction Failed) hard-zeroes every score for the
-    sample; in particular it never collects the empty-vs-empty set match.
-    A tr answer is scored in tr_format, a TableFormat value that every tr
-    answer needs (_flatten_gold gives one to each); other tasks take None.
+    The route and the payload are extraction's. An empty response (route
+    failed, payload None) is no answer, which every task's branch scores
+    zero on any gold answer that _gold_problem accepts; in particular it
+    never collects the empty-vs-empty set match. A tr answer is scored in
+    tr_format, a TableFormat value that every tr answer needs
+    (_flatten_gold gives one to each); other tasks take None.
     """
-    fmt = TableFormat(tr_format) if task is TaskKind.TR else None
     extraction: ExtractionResult = extract_json_answer(response, task)
     payload = extraction.payload
     record: dict = {"extraction": extraction.status.value}
-    if extraction.status is ExtractionStatus.FAILED:
-        record.update(_zero_scores(task, gold_answer, fmt))
-        return record
     if task is TaskKind.TSD:
         row_ok, col_ok = score_tsd(payload, gold_answer)
         record["row_correct"] = row_ok
@@ -393,16 +385,10 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
         record["f1"] = score_rce(payload, gold_answer)
         record["axis"] = gold_answer.get("axis", "row")
     elif task is TaskKind.TR:
-        if isinstance(payload, dict) and "answer" not in payload:
-            # an object without an answer is part of the table text, such as
-            # the {} of an empty LaTeX \multicolumn, not a wrapped answer
-            payload = str(response).strip()
-            record["extraction"] = ExtractionStatus.RAW_TEXT.value
-        if isinstance(payload, dict):
-            pred_table = str(payload["answer"])
-        else:
-            pred_table = str(payload)
-        record["teds"] = teds(pred_table, str(gold_answer.get("answer", "")), fmt)
+        fmt = TableFormat(tr_format)
+        pred_table = str(payload["answer"]) if isinstance(payload, dict) else payload
+        gold_table = str(gold_answer.get("answer", ""))
+        record["teds"] = 0.0 if payload is None else teds(pred_table, gold_table, fmt)
         record["format"] = fmt.value
     else:  # QA_WRAP
         gold_text = gold_answer.get("answer", "")
@@ -410,7 +396,7 @@ def score_sample(task: TaskKind, response: str, gold_answer: Mapping, tr_format:
             pred_text = payload.get("answer", "")
         else:
             pred_text = payload if payload is not None else ""
-        record["correct"] = answers_match(pred_text, gold_text)
+        record["correct"] = payload is not None and answers_match(pred_text, gold_text)
         record["pred_text"] = pred_text if isinstance(pred_text, str) else json.dumps(pred_text)
         record["gold_text"] = gold_text if isinstance(gold_text, str) else json.dumps(gold_text)
     return record

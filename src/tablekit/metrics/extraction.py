@@ -1,10 +1,11 @@
 """Pulling structured answers out of free-form model responses.
 
 The preferred route is the last balanced top-level JSON object in the
-text. When no object parses, task-aware regular expressions try to
-recover the answer from plain prose; failing that the trimmed text is
-returned as-is. Only an empty response yields Failed. Total: never
-raises on arbitrary input.
+text; for `tr` it must hold an "answer", as one without it is table text
+(the {} of an empty LaTeX \\multicolumn, say). When no object parses,
+task-aware regular expressions try to recover the answer from plain
+prose; failing that the trimmed text is returned as-is. Only an empty
+response yields Failed. Total: never raises on arbitrary input.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ def extract_json_answer(text: object, task: TaskKind | None = None) -> Extractio
     if not isinstance(text, str):
         text = "" if text is None else str(text)
     payload = _last_json_object(text)
-    if payload is not None:
+    if payload is not None and (task is not TaskKind.TR or "answer" in payload):
         return ExtractionResult(ExtractionStatus.PARSED_JSON, payload)
     fallback = _FALLBACKS.get(task)
     if fallback is not None:

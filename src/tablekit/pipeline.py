@@ -491,6 +491,16 @@ def _style_mix_achieved(records: Sequence[dict]) -> dict[str, float]:
     return _shares(list(by_table.values()))
 
 
+def _write_json(path: Path, value: object) -> None:
+    """value as JSON at path by way of a file beside it, so that path never
+    holds part of a file."""
+    partial = path.with_name(path.name + ".tmp")
+    partial.write_text(
+        json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    os.replace(partial, path)
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -582,12 +592,7 @@ def cmd_synth(
         "tr_format_mix_achieved": _tr_format_mix(answers),
         "files": dict(sorted(digests.items())),
     }
-    partial = out / "manifest.json.tmp"
-    partial.write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(partial, manifest_path)
+    _write_json(manifest_path, manifest)
     return manifest
 
 
@@ -601,12 +606,13 @@ def cmd_eval(
     gold_path: str | Path,
     out_path: str | Path | None = None,
 ) -> MetricReport:
+    """The report, also written to out_path if given. A report already there
+    is removed first, so a run that fails leaves none, not an earlier one."""
+    if out_path is not None:
+        Path(out_path).unlink(missing_ok=True)
     report = evaluate(predictions_path, gold_path)
     if out_path is not None:
-        Path(out_path).write_text(
-            json.dumps(report.to_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(Path(out_path), report.to_dict())
     return report
 
 

@@ -251,8 +251,8 @@ def synth_tr(
 
 
 def wrap_qa(table: Table, task_input: str, task_output: str, ctx: SampleContext) -> Sample:
-    if not task_input or not task_output:
-        raise ValueError("qa wrapping needs non-empty input and output text")
+    if not task_input.strip() or not task_output.strip():
+        raise ValueError("qa wrapping needs non-blank input and output text")
     gold = {"answer": task_output}
     return _finish(table, TaskKind.QA_WRAP, ctx, gold, {"question": task_input})
 
@@ -450,7 +450,7 @@ def plan(
         tid = str(pair.get("table_id", ""))
         question = str(pair.get("question", "") or "")
         answer = str(pair.get("answer", "") or "")
-        if tid not in unique_cells or not question or not answer:
+        if tid not in unique_cells or not question.strip() or not answer.strip():
             qa_skipped += 1
             continue
         qa_split["train" if tid in train_ids else "eval"].append((tid, question, answer))

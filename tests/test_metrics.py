@@ -877,6 +877,9 @@ def test_score_tsd_axes_independent():
     assert score_tsd({"row_number": True, "column_number": 4}, gold) == (False, True)
     assert score_tsd("3 by 4", gold) == (False, False)
     assert score_tsd({}, gold) == (False, False)
+    # the gold is read the way the prediction is
+    read_gold = {"row_number": "3", "column_number": 4.0}
+    assert score_tsd({"row_number": 3, "column_number": 4}, read_gold) == (True, True)
 
 
 def test_score_cell_accuracy_by_position():
@@ -980,14 +983,32 @@ def test_normalize_cell():
 
 
 def test_score_sample_failed_extraction_is_all_zero():
-    spanless = {"has_merged": False, "regions": []}
-    record = score_sample(TaskKind.MCD, "", spanless, None)
-    assert record["extraction"] == "failed"
-    assert (record["precision"], record["recall"], record["f1"]) == (0.0, 0.0, 0.0)
-    tsd = score_sample(TaskKind.TSD, "   ", {"row_number": 1, "column_number": 1}, None)
-    assert tsd["row_correct"] is False and tsd["column_correct"] is False
-    qa = score_sample(TaskKind.QA_WRAP, "", {"answer": "x"}, None)
-    assert qa["correct"] is False and qa["pred_text"] == "" and qa["gold_text"] == "x"
+    # the whole record, keys in order: no answer scores zero even against a
+    # gold that empty text would match (no regions, an empty cell, "")
+    cases = [
+        (TaskKind.TSD, {"row_number": 1, "column_number": 1}, None,
+         {"extraction": "failed", "row_correct": False, "column_correct": False}),
+        (TaskKind.TCE, {"cells": [{"position": [1, 1], "value": ""}]}, None,
+         {"extraction": "failed", "cell_accuracy": 0.0}),
+        (TaskKind.TCL, {"cells": [{"value": "a", "position": [2, 1]}]}, None,
+         {"extraction": "failed", "cell_accuracy": 0.0}),
+        (TaskKind.MCD, {"has_merged": False, "regions": []}, None,
+         {"extraction": "failed", "precision": 0.0, "recall": 0.0, "f1": 0.0}),
+        (TaskKind.RCE, {"axis": "column", "lines": {"1": [""]}}, None,
+         {"extraction": "failed", "f1": 0.0, "axis": "column"}),
+        (TaskKind.RCE, {"lines": {"2": ["a", 3]}}, None,
+         {"extraction": "failed", "f1": 0.0, "axis": "row"}),
+        (TaskKind.TR, {"answer": ""}, "markdown",
+         {"extraction": "failed", "teds": 0.0, "format": "markdown"}),
+        (TaskKind.QA_WRAP, {"answer": ""}, None,
+         {"extraction": "failed", "correct": False, "pred_text": "", "gold_text": ""}),
+        (TaskKind.QA_WRAP, {"answer": ["x", 2]}, None,
+         {"extraction": "failed", "correct": False, "pred_text": "", "gold_text": '["x", 2]'}),
+    ]  # fmt: skip
+    for task, gold, tr_format, expected in cases:
+        for response in ("", " \n\t"):
+            record = score_sample(task, response, gold, tr_format)
+            assert list(record.items()) == list(expected.items()), (task, record)
 
 
 def test_score_sample_tr_accepts_bare_table_text():
@@ -1026,6 +1047,10 @@ def test_score_sample_tr_raw_latex_with_empty_spanning_cell():
     )
     tex = serialize(table, TableFormat.LATEX)
     assert "\\multicolumn{2}{c}{}" in tex
+    # extraction alone decides the route: for tr only an object with an
+    # answer is one, for other tasks any object is
+    assert extract_json_answer(tex, TaskKind.TR).status is ExtractionStatus.RAW_TEXT
+    assert extract_json_answer(tex, TaskKind.TCE).status is ExtractionStatus.PARSED_JSON
     gold = {"answer": tex}
     # the {} of the empty cell is no answer object: the text is the table
     bare = score_sample(TaskKind.TR, tex, gold, "latex")
@@ -1317,6 +1342,13 @@ _GOLD_ANSWERS_THAT_SCORERS_CANNOT_READ = [
     ("tcl", {"cells": ["a"]}),
     ("rce", {"axis": "row", "lines": {}}),
     ("rce", {"axis": "row"}),
+    ("tsd", {"row_number": "many", "column_number": 2}),
+    ("tce", {"cells": [{"position": [1, True], "value": "a"}]}),
+    ("tcl", {"cells": [{"position": "x", "value": "a"}]}),
+    ("mcd", {"regions": [["x", "y"]]}),
+    ("rce", {"axis": "row", "lines": {"1": "abc"}}),
+    ("rce", {"axis": "row", "lines": {"1": []}}),
+    ("rce", {"axis": "diagonal", "lines": {"1": ["a"]}}),
 ]
 
 
@@ -1334,10 +1366,14 @@ def test_malformed_gold_answer_is_a_file_format_error(tmp_path, capsys, task, go
         {"sample_id": "g-1", "responses": ['{"answer": 1}'] * 2} if as_turn
         else {"sample_id": "g-1", "response": '{"answer": 1}'}
     ])
-    with pytest.raises(FileFormatError, match="g-1"):
+    with pytest.raises(FileFormatError, match="g-1#turn2" if as_turn else "g-1"):
         evaluate(pred_path, gold_path)
-    assert main(["eval", str(pred_path), str(gold_path)]) == 1
+    # a refused run leaves no report, not the one an earlier run wrote
+    report_path = tmp_path / "report.json"
+    report_path.write_text("{}", encoding="utf-8")
+    assert main(["eval", str(pred_path), str(gold_path), "--out", str(report_path)]) == 1
     assert "g-1" in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 def test_unknown_tr_format_in_gold_meta_is_a_file_format_error(tmp_path):

@@ -430,12 +430,14 @@ def test_synthesize_qa_pairs():
         {"table_id": ids[1], "question": "Largest navy?", "answer": "blue"},
         {"table_id": "missing", "question": "q", "answer": "a"},
         {"table_id": ids[2], "question": "", "answer": "a"},
+        {"table_id": ids[3], "question": "Q?", "answer": "  "},
+        {"table_id": ids[4], "question": " \n", "answer": "a"},
     ]
     config = SynthConfig(counts={TaskKind.TSD: (3, 1)}, master_seed=6)
     result = synthesize(tables, config, qa_pairs=qa)
     wrapped = [s for s in result.samples if s.task is TaskKind.QA_WRAP]
     assert len(wrapped) == 2
-    assert result.qa_pairs_skipped == 2
+    assert result.qa_pairs_skipped == 4
     answers = {s.gold_answer["answer"] for s in wrapped}
     assert answers == {"7", "blue"}
 
