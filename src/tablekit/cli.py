@@ -23,7 +23,6 @@ from .pipeline import (
     cmd_synth,
     dataset_stats,
 )
-from .render import RasterizerUnavailable
 
 
 def _positive_int(text: str) -> int:
@@ -79,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    fatal = [PipelineConfigError, FileFormatError, ParseError, UnrepresentableInFormat, OSError]
     try:
         if args.command == "synth":
             config = PipelineConfig.from_file(args.config)
@@ -97,6 +97,9 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(dataset_stats(args.samples), ensure_ascii=False, indent=2))
             return 0
         if args.command == "render":
+            from .render import RasterizerUnavailable  # here, so that only render loads render
+
+            fatal.append(RasterizerUnavailable)
             config = PipelineConfig.from_file(args.config) if args.config else None
             out = cmd_render(
                 args.input,
@@ -115,14 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(f"wrote {args.out}")
             return 0
-    except (
-        PipelineConfigError,
-        FileFormatError,
-        ParseError,
-        UnrepresentableInFormat,
-        RasterizerUnavailable,
-        OSError,
-    ) as exc:
+    except tuple(fatal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2  # unreachable with required=True subparsers

@@ -289,9 +289,17 @@ def _gold_problem(task: TaskKind, gold_answer: object, tr_format: object) -> str
             return "rce gold_answer needs a non-empty lines object of non-empty cell lists"
         if gold_answer.get("axis", "row") not in ("row", "column"):
             return f"rce gold axis {gold_answer['axis']!r} is neither row nor column"
-    elif task is TaskKind.TR and tr_format is not None:
-        if tr_format not in [fmt.value for fmt in TableFormat]:
+    elif task is TaskKind.TR:
+        answer = gold_answer.get("answer")
+        if not isinstance(answer, str) or not answer.strip():
+            return "tr gold_answer needs a non-blank answer text"
+        if tr_format is not None and tr_format not in [fmt.value for fmt in TableFormat]:
             return f"unknown tr_format {tr_format!r}"
+    elif task is TaskKind.QA_WRAP:
+        # an answer that empty text matches would credit no answer at all
+        answer = gold_answer.get("answer")
+        if answer is None or answer == [] or not normalize_cell(answer):
+            return "qa_wrap gold_answer needs a non-blank answer"
     return None
 
 
@@ -335,7 +343,7 @@ def _flatten_gold(records: Iterable[dict]) -> list[_GoldRecord]:
             if task is not TaskKind.TR:
                 tr_format = None
             elif not tr_format:
-                tr_format = sniff_format(str(gold_answer.get("answer", ""))).value
+                tr_format = sniff_format(gold_answer["answer"]).value
             flat.append(_GoldRecord(answer_id, task, gold_answer, tr_format, split, source))
     return flat
 

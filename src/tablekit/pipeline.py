@@ -9,11 +9,9 @@ byte regardless of worker count; the manifest carries no timestamps.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
-import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,23 +30,17 @@ from .metrics.evaluate import (
     evaluate,
 )
 from .numeric import json_int
-from .render import (
-    DEFAULT_STYLE_MIX,
-    CommandRasterizer,
-    StyleFamily,
-    StyleMix,
-    StyleSpec,
-    load_style_ranges,
-    rasterize,
-    render_svg,
-    sample_style,
-)
 from .taskdefs import TaskKind
-from .tasks import Plan, SynthConfig, materialize, plan, unique_cell_count
-from .templates import TemplatePool, default_pool, load_pool
 
+# render, tasks and templates are imported where synth and render use them,
+# so that eval, stats and convert never load them; each such import binds a
+# name local to its function, never one of this module
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
+
+    from .render import StyleMix, StyleSpec
+    from .tasks import Plan, SynthConfig
+    from .templates import TemplatePool
 
 
 class PipelineConfigError(ValueError):
@@ -120,6 +112,8 @@ class PipelineConfig:
         return {key: value for key, value in out.items() if value is not None}
 
     def to_synth_config(self, seed_override: int | None = None) -> SynthConfig:
+        from .tasks import SynthConfig
+
         kwargs: dict = {
             "tce_cells_per_sample": self.tce_cells_per_sample,
             "tcl_cells_per_sample": self.tcl_cells_per_sample,
@@ -138,6 +132,8 @@ class PipelineConfig:
             raise PipelineConfigError(str(exc))
 
     def resolve_style_mix(self) -> StyleMix:
+        from .render import DEFAULT_STYLE_MIX, StyleFamily, StyleMix
+
         if self.style_mix is None:
             return DEFAULT_STYLE_MIX
         try:
@@ -148,13 +144,17 @@ class PipelineConfig:
     def resolve_style_ranges(self) -> dict | None:
         if self.style_ranges_path is None:
             return None
+        from .render import load_style_ranges
+
         path = self._resolve(self.style_ranges_path)
         try:
             return load_style_ranges(path)
         except (OSError, ValueError) as exc:
             raise PipelineConfigError(f"bad style ranges file {path}: {exc}")
 
-    def resolve_pool(self):
+    def resolve_pool(self) -> TemplatePool:
+        from .templates import default_pool, load_pool
+
         if self.template_pool_path is None:
             return default_pool()
         path = self._resolve(self.template_pool_path)
@@ -216,7 +216,11 @@ def _path(value: object) -> str | None:
 
 def _command(value: object) -> str | None:
     """A raster command template that CommandRasterizer takes."""
-    return value if _path(value) is None else CommandRasterizer(value).template
+    if _path(value) is None:
+        return None
+    from .render import CommandRasterizer
+
+    return CommandRasterizer(value).template
 
 
 # the one coercion of each config key (a field of PipelineConfig other than
@@ -329,19 +333,22 @@ def load_corpus(corpus_dir: str | Path) -> CorpusLoad:
 # synth shards: each reads, materializes and renders its own tables
 # ---------------------------------------------------------------------------
 
-RenderJob = tuple[Table, StyleSpec, Path]  # table, its style, the SVG path
-
-
-def _write_svg(table: Table, style: StyleSpec, path: Path) -> str:
-    """Renders the table, writes the SVG and returns its sha256."""
-    data = render_svg(table, style).encode("utf-8")
-    path.write_bytes(data)
-    return _sha256(data)
+RenderJob = tuple[Table, "StyleSpec", Path]  # table, its style, the SVG path
 
 
 def _render_all(jobs: dict[str, RenderJob]) -> list[str]:
-    """Each job's SVG sha256, in job order."""
-    return [_write_svg(*job) for job in jobs.values()]
+    """Renders each job's table and writes its SVG; each SVG's sha256, in job
+    order."""
+    import hashlib
+
+    from .render import render_svg
+
+    digests = []
+    for table, style, path in jobs.values():
+        data = render_svg(table, style).encode("utf-8")
+        path.write_bytes(data)
+        digests.append(hashlib.sha256(data).hexdigest())
+    return digests
 
 
 # what a shard hands back from phase 2: the encoded record lines by output
@@ -363,6 +370,8 @@ class _Shard:
     def read(self, paths: Sequence[str]) -> list[int | str]:
         """Per file, its table's count of content-unique non-empty cells, or
         the reason the file is skipped."""
+        from .tasks import unique_cell_count
+
         reports: list[int | str] = []
         for path in paths:
             table = _read_corpus_file(Path(path))
@@ -383,6 +392,8 @@ class _Shard:
         images_dir: Path,
     ) -> ShardOutput:
         """The planned samples on the tables of these files, by their ids."""
+        from .tasks import materialize
+
         tables = {table_id: self.tables[path] for path, table_id in ids.items()}
         samples, styles = materialize(planned, tables, synth_config, pool, style_mix, style_ranges)
         lines: dict[int, str] = {}
@@ -418,6 +429,8 @@ def _serve_shard(conn: Connection) -> None:
             try:
                 conn.send((None, getattr(shard, method)(*args)))
             except Exception as exc:
+                import traceback
+
                 conn.send(((exc, traceback.format_exc()), None))
 
 
@@ -501,10 +514,6 @@ def _write_json(path: Path, value: object) -> None:
     os.replace(partial, path)
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def cmd_synth(
     config: PipelineConfig,
     out_dir: str | Path,
@@ -517,6 +526,10 @@ def cmd_synth(
     manifest.json is removed first and written last, so a run that stops
     part way never leaves a directory that looks complete.
     """
+    import hashlib
+
+    from .tasks import plan
+
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     manifest_path.unlink(missing_ok=True)
@@ -576,7 +589,7 @@ def cmd_synth(
         "\n".join(lines[p] for p in range(len(lines))) + "\n" if lines else ""
     ).encode("utf-8")
     (out / "samples.jsonl").write_bytes(samples_bytes)
-    digests["samples.jsonl"] = _sha256(samples_bytes)
+    digests["samples.jsonl"] = hashlib.sha256(samples_bytes).hexdigest()
 
     manifest = {
         "version": __version__,
@@ -684,6 +697,8 @@ def cmd_render(
 
     A PNG is rasterized at dpi when given, else at the config's raster_dpi.
     """
+    from .render import DEFAULT_STYLE_MIX, CommandRasterizer, rasterize, render_svg, sample_style
+
     table = _load_table_file(Path(input_path))
     mix = config.resolve_style_mix() if config is not None else DEFAULT_STYLE_MIX
     ranges = config.resolve_style_ranges() if config is not None else None

@@ -9,13 +9,16 @@ synth tree and an eval report byte-identical on Python 3.10-3.13.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
+import tablekit
 from tablekit.pipeline import PipelineConfig, cmd_eval, cmd_synth
 from tablekit.tasks import STRUCTURE_TASKS
 
@@ -134,11 +137,16 @@ def plain_run(corpus_root) -> tuple[dict[str, bytes], bytes]:
 
 def test_outputs_do_not_depend_on_how_sum_rounds_floats(corpus_root, plain_run, monkeypatch):
     # every float sum goes through left_sum, so giving each tablekit module
-    # the compensating sum() of Python 3.12 changes no byte
-    for name, module in list(sys.modules.items()):
-        if name == "tablekit" or name.startswith("tablekit."):
-            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    # the compensating sum() of Python 3.12 changes no byte; each module is
+    # imported first, so that none the run loads later escapes the patch
+    names = ["tablekit", *(info.name for info in pkgutil.walk_packages(tablekit.__path__, "tablekit."))]
+    for name in names:
+        monkeypatch.setattr(importlib.import_module(name), "sum", _compensated_sum, raising=False)
     tree, report = _synth_and_eval(corpus_root, "compensated")
+    # every module of code the run loaded was patched (tablekit.data, a
+    # directory of data files, holds none)
+    loaded = {name for name, module in sys.modules.items() if name.split(".")[0] == "tablekit" and module.__file__}
+    assert loaded <= set(names)
     plain_tree, plain_report = plain_run
     assert sorted(tree) == sorted(plain_tree)
     for rel in plain_tree:

@@ -1349,6 +1349,16 @@ _GOLD_ANSWERS_THAT_SCORERS_CANNOT_READ = [
     ("rce", {"axis": "row", "lines": {"1": "abc"}}),
     ("rce", {"axis": "row", "lines": {"1": []}}),
     ("rce", {"axis": "diagonal", "lines": {"1": ["a"]}}),
+    # an answer that empty text matches: {} would score correct, or teds 1.0
+    ("qa_wrap", {}),
+    ("qa_wrap", {"answer": ""}),
+    ("qa_wrap", {"answer": " \n"}),
+    ("qa_wrap", {"answer": None}),
+    ("qa_wrap", {"answer": []}),
+    ("tr", {}),
+    ("tr", {"answer": ""}),
+    ("tr", {"answer": "  "}),
+    ("tr", {"answer": 5}),
 ]
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tablekit import core, pipeline, tasks
+from tablekit import core, pipeline, render, tasks
 from tablekit.cli import main
 from tablekit.core import table_from_dict, table_to_dict
 from tablekit.formats import serialize
@@ -537,7 +537,6 @@ def test_cmd_synth_draws_each_table_style_once(tmp_path, monkeypatch):
         return real(mix, seed, ranges)
 
     monkeypatch.setattr(tasks, "sample_style", counting)
-    monkeypatch.setattr(pipeline, "sample_style", counting)
     manifest = cmd_synth(config, tmp_path / "out", workers=1)
     images = [rel for rel in manifest["files"] if rel.startswith("images/")]
     assert len(seeds) == len(set(seeds)) == len(images)
@@ -553,7 +552,7 @@ def test_cmd_synth_that_stops_part_way_leaves_no_manifest(tmp_path, monkeypatch)
     def failing_render(table, style):
         raise RuntimeError("render failed")
 
-    monkeypatch.setattr(pipeline, "render_svg", failing_render)
+    monkeypatch.setattr(render, "render_svg", failing_render)
     with pytest.raises(RuntimeError):
         cmd_synth(config, out)
     assert sorted(p.name for p in out.iterdir()) == ["images", "samples.jsonl"]
@@ -782,7 +781,7 @@ def test_cli_render_png_dpi_is_the_config_raster_dpi_unless_given(tmp_path, monk
         seen.append(dpi)
         return b"png"
 
-    monkeypatch.setattr(pipeline, "rasterize", fake_rasterize)
+    monkeypatch.setattr(render, "rasterize", fake_rasterize)
     args = ["render", str(src), "--out", str(tmp_path / "t.png"), "--format", "png"]
     assert main(args + ["--config", str(config)]) == 0
     assert main(args + ["--config", str(config), "--dpi", "300"]) == 0
