@@ -245,10 +245,6 @@ def table_from_dict(data: dict[str, Any]) -> Table:
         raise InvalidTable(f"malformed table object: {exc}") from exc
 
 
-def table_to_json(table: Table) -> str:
-    return json.dumps(table_to_dict(table), ensure_ascii=False)
-
-
 def table_from_json(text: str) -> Table:
     try:
         data = json.loads(text)

@@ -38,7 +38,7 @@ from .taskdefs import TaskKind
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-    from .render import StyleMix, StyleSpec
+    from .render import StyleSpec
     from .tasks import Plan, SynthConfig
     from .templates import TemplatePool
 
@@ -96,8 +96,7 @@ class PipelineConfig:
             except (TypeError, ValueError, AttributeError) as exc:
                 raise PipelineConfigError(f"bad config value for {key}: {exc}")
         config = cls(**values, base_dir=Path(base_dir))
-        config.to_synth_config()  # surface count/weight problems at load time
-        config.resolve_style_mix()
+        config.to_synth_config()  # bad settings and unreadable files surface at load time
         return config
 
     def _resolve(self, value: str) -> Path:
@@ -112,6 +111,9 @@ class PipelineConfig:
         return {key: value for key, value in out.items() if value is not None}
 
     def to_synth_config(self, seed_override: int | None = None) -> SynthConfig:
+        """The synthesis settings, with the template pool and style ranges
+        files read."""
+        from .render import StyleFamily, StyleMix, load_style_ranges
         from .tasks import SynthConfig
 
         kwargs: dict = {
@@ -119,7 +121,19 @@ class PipelineConfig:
             "tcl_cells_per_sample": self.tcl_cells_per_sample,
             "multiturn_fraction": self.multiturn_fraction,
             "master_seed": self.master_seed if seed_override is None else seed_override,
+            "pool": self.resolve_pool(),
         }
+        if self.style_mix is not None:
+            try:
+                kwargs["style_mix"] = StyleMix({StyleFamily(name): float(w) for name, w in self.style_mix.items()})
+            except ValueError as exc:
+                raise PipelineConfigError(f"bad style_mix: {exc}")
+        if self.style_ranges_path is not None:
+            path = self._resolve(self.style_ranges_path)
+            try:
+                kwargs["style_ranges"] = load_style_ranges(path)
+            except (OSError, ValueError) as exc:
+                raise PipelineConfigError(f"bad style ranges file {path}: {exc}")
         try:
             if self.counts is not None:
                 kwargs["counts"] = {TaskKind(name): pair for name, pair in self.counts.items()}
@@ -130,27 +144,6 @@ class PipelineConfig:
             return SynthConfig(**kwargs)
         except ValueError as exc:
             raise PipelineConfigError(str(exc))
-
-    def resolve_style_mix(self) -> StyleMix:
-        from .render import DEFAULT_STYLE_MIX, StyleFamily, StyleMix
-
-        if self.style_mix is None:
-            return DEFAULT_STYLE_MIX
-        try:
-            return StyleMix({StyleFamily(name): float(w) for name, w in self.style_mix.items()})
-        except ValueError as exc:
-            raise PipelineConfigError(f"bad style_mix: {exc}")
-
-    def resolve_style_ranges(self) -> dict | None:
-        if self.style_ranges_path is None:
-            return None
-        from .render import load_style_ranges
-
-        path = self._resolve(self.style_ranges_path)
-        try:
-            return load_style_ranges(path)
-        except (OSError, ValueError) as exc:
-            raise PipelineConfigError(f"bad style ranges file {path}: {exc}")
 
     def resolve_pool(self) -> TemplatePool:
         from .templates import default_pool, load_pool
@@ -352,8 +345,9 @@ def _render_all(jobs: dict[str, RenderJob]) -> list[str]:
 
 
 # what a shard hands back from phase 2: the encoded record lines by output
-# position, (task, split, tr_format) per scored answer, and the SVG digest
-# and style family of each of its tables, by table id
+# position, (task, split, tr_format) per scored answer, the digest of each
+# SVG it wrote, by the image ref of its samples, and the style family of
+# each of its tables, by table id
 ShardOutput = tuple[dict[int, str], list[tuple[TaskKind, str, str | None]], dict[str, str], dict[str, str]]
 
 
@@ -386,23 +380,23 @@ class _Shard:
         ids: dict[str, str],
         planned: Plan,
         synth_config: SynthConfig,
-        pool: TemplatePool,
-        style_mix: StyleMix,
-        style_ranges: dict | None,
-        images_dir: Path,
+        out: Path,
     ) -> ShardOutput:
-        """The planned samples on the tables of these files, by their ids."""
+        """The planned samples on the tables of these files, by their ids,
+        each table's SVG written under out at its samples' image ref."""
         from .tasks import materialize
 
         tables = {table_id: self.tables[path] for path, table_id in ids.items()}
-        samples, styles = materialize(planned, tables, synth_config, pool, style_mix, style_ranges)
+        samples, styles = materialize(planned, tables, synth_config)
         lines: dict[int, str] = {}
         answers = []
+        refs: dict[str, str] = {}  # table id by image ref
         for position, sample in samples.items():
             record = sample.to_dict()
             lines[position] = json.dumps(record, ensure_ascii=False)
             answers += [(a.task, a.split, a.tr_format) for a in _flatten_gold([record])]
-        jobs = {tid: (tables[tid], styles[tid], images_dir / f"{tid}.svg") for tid in sorted(styles)}
+            refs[sample.image_ref] = sample.table_id
+        jobs = {ref: (tables[tid], styles[tid], out / ref) for ref, tid in sorted(refs.items())}
         digests = dict(zip(jobs, _render_all(jobs)))
         return lines, answers, digests, {tid: spec.family.value for tid, spec in styles.items()}
 
@@ -535,11 +529,6 @@ def cmd_synth(
     manifest_path.unlink(missing_ok=True)
     paths = _corpus_paths(config._resolve(config.corpus_dir))
     synth_config = config.to_synth_config(seed_override=seed)
-    resolved = (
-        config.resolve_pool(),
-        config.resolve_style_mix(),
-        config.resolve_style_ranges(),
-    )
     qa_pairs = config.resolve_qa_pairs()
     images_dir = out / "images"
 
@@ -570,7 +559,7 @@ def cmd_synth(
             shutil.rmtree(images_dir)
         images_dir.mkdir(parents=True)
         for shard, their_ids in zip(shards, shard_ids):
-            shard.send("build", their_ids, planned, synth_config, *resolved, images_dir)
+            shard.send("build", their_ids, planned, synth_config, out)
         built: list[ShardOutput] = [shard.recv() for shard in shards]
     finally:
         for shard in shards:
@@ -583,7 +572,7 @@ def cmd_synth(
     for shard_lines, shard_answers, shard_digests, shard_families in built:
         lines.update(shard_lines)
         answers += shard_answers
-        digests.update((f"images/{tid}.svg", digest) for tid, digest in shard_digests.items())
+        digests.update(shard_digests)
         families.update(shard_families)
     samples_bytes = (
         "\n".join(lines[p] for p in range(len(lines))) + "\n" if lines else ""
@@ -697,13 +686,12 @@ def cmd_render(
 
     A PNG is rasterized at dpi when given, else at the config's raster_dpi.
     """
-    from .render import DEFAULT_STYLE_MIX, CommandRasterizer, rasterize, render_svg, sample_style
+    from .render import CommandRasterizer, rasterize, render_svg, sample_style
+    from .tasks import SynthConfig
 
     table = _load_table_file(Path(input_path))
-    mix = config.resolve_style_mix() if config is not None else DEFAULT_STYLE_MIX
-    ranges = config.resolve_style_ranges() if config is not None else None
-    spec = sample_style(mix, seed, ranges)
-    svg = render_svg(table, spec)
+    settings = config.to_synth_config() if config is not None else SynthConfig()
+    svg = render_svg(table, sample_style(settings.style_mix, seed, settings.style_ranges))
     out = Path(out_path)
     if image_format == "svg":
         out.write_text(svg, encoding="utf-8")

@@ -329,6 +329,9 @@ class SynthConfig:
     )
     multiturn_fraction: float = 0.0
     master_seed: int = 0
+    pool: TemplatePool = field(default_factory=default_pool)
+    style_mix: StyleMix = DEFAULT_STYLE_MIX
+    style_ranges: dict | None = None  # None: the shipped ranges
 
     def __post_init__(self) -> None:
         for task, (train_n, eval_n) in self.counts.items():
@@ -488,16 +491,11 @@ def materialize(
     planned: Plan,
     tables: Mapping[str, Table],
     config: SynthConfig | None = None,
-    pool: TemplatePool | None = None,
-    style_mix: StyleMix | None = None,
-    style_ranges: dict | None = None,
 ) -> tuple[dict[int, Sample], dict[str, StyleSpec]]:
     """The planned samples on the given tables, by output position, and the
     style drawn for each of those tables. Samples on other tables are left
     out, so disjoint sets of tables build disjoint shares of the output."""
     config = config if config is not None else SynthConfig()
-    pool = pool if pool is not None else default_pool()
-    style_mix = style_mix if style_mix is not None else DEFAULT_STYLE_MIX
     styles: dict[str, StyleSpec] = {}
 
     def build(single: PlannedSample) -> Sample:
@@ -505,7 +503,7 @@ def materialize(
         table = tables[table_id]
         spec = styles.get(table_id)
         if spec is None:
-            spec = sample_style(style_mix, style_seed(config.master_seed, table_id), style_ranges)
+            spec = sample_style(config.style_mix, style_seed(config.master_seed, table_id), config.style_ranges)
             styles[table_id] = spec
         ctx = SampleContext(
             sample_id=f"{task.value}-{split}-{index:06d}",
@@ -513,7 +511,7 @@ def materialize(
             image_ref=f"images/{table_id}.svg",
             gold_seed=derive_seed(config.master_seed, table_id, task.value, index, "gold"),
             request_seed=derive_seed(config.master_seed, table_id, task.value, index, "request"),
-            pool=pool,
+            pool=config.pool,
             meta={"style_family": spec.family.value, "split": split},
         )
         if task is TaskKind.TSD:
@@ -546,16 +544,13 @@ def materialize(
 def synthesize(
     tables: Mapping[str, Table],
     config: SynthConfig | None = None,
-    pool: TemplatePool | None = None,
     qa_pairs: Sequence[Mapping[str, str]] = (),
-    style_mix: StyleMix | None = None,
-    style_ranges: dict | None = None,
 ) -> SynthResult:
     """Generates the configured sample counts from the tables, by id: plan,
     then materialize over every table (see both)."""
     unique_cells = {table_id: unique_cell_count(table) for table_id, table in tables.items()}
     planned = plan(unique_cells, config, qa_pairs)
-    samples, _ = materialize(planned, tables, config, pool, style_mix, style_ranges)
+    samples, _ = materialize(planned, tables, config)
     return SynthResult(
         samples=tuple(samples[p] for p in range(len(planned.outputs))),
         shortfalls=planned.shortfalls,

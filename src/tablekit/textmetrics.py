@@ -79,10 +79,6 @@ def _advances(font_family: str, font_size_pt: int | float) -> _Advances:
     return table
 
 
-def char_advance(ch: str, font_family: str, font_size_pt: int | float) -> float:
-    return _advances(font_family, font_size_pt)[ch]
-
-
 def paragraph_advances(text: str, font_family: str, font_size_pt: int | float) -> list[list[float]]:
     """The advance of each character of the text, one list per line of it."""
     advance = _advances(font_family, font_size_pt).__getitem__

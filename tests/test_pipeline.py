@@ -322,11 +322,13 @@ def test_cmd_synth_counts_and_digests(tmp_path):
         data = (out / rel).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
-    # an image exists for exactly the referenced tables
+    # an image exists for exactly the referenced tables, and the manifest
+    # lists each at the ref its samples give
     records = [json.loads(l) for l in (out / "samples.jsonl").read_text().splitlines()]
     referenced = {r["table_id"] for r in records}
     on_disk = {p.name[: -len(".svg")] for p in (out / "images").glob("*.svg")}
     assert on_disk == referenced
+    assert {r["image_ref"] for r in records} == {rel for rel in manifest["files"] if rel.startswith("images/")}
 
     # the manifest carries a fixed key set and no timestamps
     assert set(manifest) == {
@@ -402,7 +404,8 @@ def _sharding_corpus(tmp_path):
     """A corpus and config with every case a shard split must keep: a stem
     in two subdirectories whose first file fails to parse, so the second
     takes the bare id; a skipped file; QA pairs, some on unknown tables or
-    unusable; conversations; and a tcl shortfall in the eval split."""
+    unusable; conversations; a tcl shortfall in the eval split; and a
+    template pool, style mix and style ranges of its own."""
     corpus = tmp_path / "corpus"
     (corpus / "a").mkdir(parents=True)
     (corpus / "b").mkdir()
@@ -425,10 +428,17 @@ def _sharding_corpus(tmp_path):
         {"table_id": "t05", "question": "", "answer": "!"},
     ]
     (tmp_path / "qa.json").write_text(json.dumps(qa), encoding="utf-8")
+    # the shipped pool cut to three templates and one hint per task
+    pool = json.loads(resources.files("tablekit.data").joinpath("default_templates.json").read_text(encoding="utf-8"))
+    pool = {section: {task: entries[:3 if section == "templates" else 1] for task, entries in pool[section].items()}
+            for section in ("templates", "hints")}  # fmt: skip
+    (tmp_path / "pool.json").write_text(json.dumps(pool), encoding="utf-8")
+    (tmp_path / "styles.json").write_text(_style_ranges_with(font_size=[12, 13]), encoding="utf-8")
     counts = {name: [6, 3] for name in SIX_TASKS}
     return PipelineConfig.from_file(_write_config(
         tmp_path, counts, master_seed=23, multiturn_fraction=0.6, qa_pairs_path="qa.json",
-        tcl_cells_per_sample=6,
+        tcl_cells_per_sample=6, template_pool_path="pool.json", style_ranges_path="styles.json",
+        style_mix={"web_page": 0.25, "excel": 0.25, "markdown": 0.5},
     ))  # fmt: skip
 
 
@@ -447,6 +457,7 @@ def test_cmd_synth_shards_write_the_serial_bytes(tmp_path, monkeypatch):
     assert manifest["conversations"] > 0
 
     records = [json.loads(line) for line in (tmp_path / "w1" / "samples.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert {r["image_ref"] for r in records} == {rel for rel in manifest["files"] if rel.startswith("images/")}
     # the bare id went to b/dup.html, a 1x2 table, once a/dup.json failed
     dup = [r["meta"] for r in records if r["table_id"] == "dup"]
     assert dup and all((meta["n_rows"], meta["n_cols"]) == (1, 2) for meta in dup)
@@ -485,7 +496,7 @@ def test_an_exception_in_a_shard_process_reaches_the_caller(tmp_path):
     shard = pipeline._ShardProcess()
     try:
         # build before read: the shard holds no table for the file
-        shard.send("build", {str(tmp_path / "never-read.json"): "x"}, None, None, None, None, None, tmp_path)
+        shard.send("build", {str(tmp_path / "never-read.json"): "x"}, None, None, tmp_path)
         with pytest.raises(KeyError) as caught:
             shard.recv()
         assert "in a synth shard process" in str(caught.value.__cause__)
@@ -930,6 +941,7 @@ _BAD_INPUT_FILES = {
     "stats": ("samples.jsonl", _NOT_UTF8, ["stats", "{file}"]),
     "synth config": ("config.json", _NOT_UTF8, _SYNTH),
     "render config": ("config.json", _NOT_UTF8, ["render", "{table}", "--out", "{out}", "--config", "{file}"]),
+    "render config's template pool": ("pool.json", _NOT_UTF8, ["render", "{table}", "--out", "{out}", "--config", "{config}"]),
     "qa pairs": ("qa.json", _NOT_UTF8, _SYNTH),
     "template pool": ("pool.json", _NOT_UTF8, _SYNTH),
     "style ranges without font_size": ("styles.json", _style_ranges_with(font_size=None), _SYNTH),

@@ -27,7 +27,7 @@ from tablekit.render import (
     render_svg,
     sample_style,
 )
-from tablekit.textmetrics import char_advance, line_height, text_width, wrap_text
+from tablekit.textmetrics import line_height, paragraph_advances, text_width, wrap_text
 
 import oracles
 from oracles import random_table_dict
@@ -210,8 +210,8 @@ def test_text_metrics_match_the_per_character_oracle():
     rng = random.Random(9001)
     for font in _style_fonts():
         for size in (10, 11, 12, 13, 14, 16, 11.5, 12.25):
-            for ch in _TEXT_ALPHABET + "~{}":
-                assert char_advance(ch, font, size) == oracles.char_advance(ch, font, size)
+            chars = _TEXT_ALPHABET.replace("\n", "") + "~{}"
+            assert paragraph_advances(chars, font, size) == [[oracles.char_advance(ch, font, size) for ch in chars]]
             for _ in range(16):
                 text = _random_text(rng)
                 assert text_width(text, font, size) == oracles.text_width(text, font, size)
