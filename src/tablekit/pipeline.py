@@ -13,7 +13,7 @@ import json
 import os
 import shutil
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -38,7 +38,7 @@ from .taskdefs import TaskKind
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-    from .render import StyleSpec
+    from .render import CommandRasterizer, StyleMix, StyleSpec
     from .tasks import Plan, SynthConfig
     from .templates import TemplatePool
 
@@ -47,27 +47,21 @@ class PipelineConfigError(ValueError):
     """The pipeline config file is missing, malformed, or inconsistent."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Everything cmd_synth needs, loaded from one JSON file.
+    """Everything cmd_synth and cmd_render need, loaded from one JSON file.
 
-    Relative paths are resolved against the config file's directory.
+    Each key is read once, when the config loads: relative paths are
+    resolved against the config file's directory, and the template pool
+    and style ranges files are read into the synthesis settings.
     """
 
-    corpus_dir: str
-    master_seed: int = 0
-    counts: dict[str, tuple[int, int]] | None = None
-    tce_cells_per_sample: int = 3
-    tcl_cells_per_sample: int = 3
-    tr_format_weights: dict[str, float] | None = None
-    multiturn_fraction: float = 0.0
-    style_mix: dict[str, float] | None = None
-    style_ranges_path: str | None = None
-    template_pool_path: str | None = None
-    qa_pairs_path: str | None = None
-    rasterizer_command: str | None = None
-    raster_dpi: int = 96
-    base_dir: Path = field(default_factory=Path)
+    corpus_dir: Path
+    synth: SynthConfig
+    qa_pairs_path: Path | None
+    rasterizer: CommandRasterizer | None
+    raster_dpi: int
+    echo: dict  # for the manifest: the keys as fed in, and the value each number key left out took
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -82,6 +76,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: object, base_dir: str | Path = ".") -> "PipelineConfig":
+        from .render import CSS_DPI, load_style_ranges
+        from .tasks import SynthConfig
+        from .templates import load_pool
+
         if not isinstance(raw, dict):
             raise PipelineConfigError("config must be a JSON object")
         unknown = set(raw).difference(_COERCE)
@@ -89,77 +87,48 @@ class PipelineConfig:
             raise PipelineConfigError(f"unknown config keys: {sorted(unknown)}")
         if raw.get("corpus_dir") is None:
             raise PipelineConfigError("config lacks corpus_dir")
-        values = {}
+        settings = {}
         for key, value in raw.items():
             try:
-                values[key] = _COERCE[key](value)
+                value = _COERCE[key](value)
             except (TypeError, ValueError, AttributeError) as exc:
                 raise PipelineConfigError(f"bad config value for {key}: {exc}")
-        config = cls(**values, base_dir=Path(base_dir))
-        config.to_synth_config()  # bad settings and unreadable files surface at load time
-        return config
-
-    def _resolve(self, value: str) -> Path:
-        path = Path(value)
-        return path if path.is_absolute() else self.base_dir / path
-
-    def echo(self) -> dict:
-        """The config as fed in, for the manifest: every key that is set."""
-        out = {key: getattr(self, key) for key in _COERCE}
-        if self.counts is not None:
-            out["counts"] = {k: list(v) for k, v in sorted(self.counts.items())}
-        return {key: value for key, value in out.items() if value is not None}
-
-    def to_synth_config(self, seed_override: int | None = None) -> SynthConfig:
-        """The synthesis settings, with the template pool and style ranges
-        files read."""
-        from .render import StyleFamily, StyleMix, load_style_ranges
-        from .tasks import SynthConfig
-
-        kwargs: dict = {
-            "tce_cells_per_sample": self.tce_cells_per_sample,
-            "tcl_cells_per_sample": self.tcl_cells_per_sample,
-            "multiturn_fraction": self.multiturn_fraction,
-            "master_seed": self.master_seed if seed_override is None else seed_override,
-            "pool": self.resolve_pool(),
-        }
-        if self.style_mix is not None:
-            try:
-                kwargs["style_mix"] = StyleMix({StyleFamily(name): float(w) for name, w in self.style_mix.items()})
-            except ValueError as exc:
-                raise PipelineConfigError(f"bad style_mix: {exc}")
-        if self.style_ranges_path is not None:
-            path = self._resolve(self.style_ranges_path)
-            try:
-                kwargs["style_ranges"] = load_style_ranges(path)
-            except (OSError, ValueError) as exc:
-                raise PipelineConfigError(f"bad style ranges file {path}: {exc}")
+            if value is not None:  # null: the key's default
+                settings[key] = value
+        paths = {key: Path(base_dir, settings.pop(key)) for key in _PATH_KEYS if key in settings}
+        for key, what, read, field_name in (
+            ("template_pool_path", "template pool", load_pool, "pool"),
+            ("style_ranges_path", "style ranges file", load_style_ranges, "style_ranges"),
+        ):
+            if key in paths:
+                try:
+                    settings[field_name] = read(paths[key])
+                except (OSError, ValueError) as exc:
+                    raise PipelineConfigError(f"bad {what} {paths[key]}: {exc}")
+        rasterizer = settings.pop("rasterizer_command", None)
+        raster_dpi = settings.pop("raster_dpi", CSS_DPI)
         try:
-            if self.counts is not None:
-                kwargs["counts"] = {TaskKind(name): pair for name, pair in self.counts.items()}
-            if self.tr_format_weights is not None:
-                kwargs["tr_format_weights"] = {
-                    TableFormat(name): float(w) for name, w in self.tr_format_weights.items()
-                }
-            return SynthConfig(**kwargs)
+            synth = SynthConfig(**settings)  # each error names its field
         except ValueError as exc:
             raise PipelineConfigError(str(exc))
+        echo = {key: value for key, value in raw.items() if value is not None}
+        echo.update({key: getattr(synth, key) for key in _SCALAR_KEYS}, raster_dpi=raster_dpi)
+        return cls(
+            corpus_dir=paths["corpus_dir"],
+            synth=synth,
+            qa_pairs_path=paths.get("qa_pairs_path"),
+            rasterizer=rasterizer,
+            raster_dpi=raster_dpi,
+            echo=echo,
+        )
 
     def resolve_pool(self) -> TemplatePool:
-        from .templates import default_pool, load_pool
-
-        if self.template_pool_path is None:
-            return default_pool()
-        path = self._resolve(self.template_pool_path)
-        try:
-            return load_pool(path)
-        except (OSError, ValueError) as exc:
-            raise PipelineConfigError(f"bad template pool {path}: {exc}")
+        return self.synth.pool
 
     def resolve_qa_pairs(self) -> list[dict]:
-        if self.qa_pairs_path is None:
+        path = self.qa_pairs_path
+        if path is None:
             return []
-        path = self._resolve(self.qa_pairs_path)
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
@@ -182,23 +151,29 @@ def _positive_int(value: object) -> int:
     return value
 
 
-def _counts(value: object) -> dict[str, tuple[int, int]] | None:
+def _counts(value: object) -> dict[TaskKind, tuple[int, int]] | None:
     if value is None:
         return None
     counts = {}
     for name, pair in value.items():
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"counts[{name!r}] must be [train, eval]")
-        counts[str(name)] = (json_int(pair[0]), json_int(pair[1]))
+        counts[TaskKind(name)] = (json_int(pair[0]), json_int(pair[1]))
     return counts
 
 
-def _weights(value: object) -> object:
-    """The weights as written, for the manifest echo, once each reads as a number."""
-    if value is not None:
-        for weight in value.values():
-            _number(weight)
-    return value
+def _tr_format_weights(value: object) -> dict[TableFormat, float] | None:
+    if value is None:
+        return None
+    return {TableFormat(name): _number(weight) for name, weight in value.items()}
+
+
+def _style_mix(value: object) -> StyleMix | None:
+    if value is None:
+        return None
+    from .render import StyleFamily, StyleMix
+
+    return StyleMix({StyleFamily(name): _number(weight) for name, weight in value.items()})
 
 
 def _path(value: object) -> str | None:
@@ -207,33 +182,36 @@ def _path(value: object) -> str | None:
     return value
 
 
-def _command(value: object) -> str | None:
-    """A raster command template that CommandRasterizer takes."""
+def _command(value: object) -> CommandRasterizer | None:
     if _path(value) is None:
         return None
     from .render import CommandRasterizer
 
-    return CommandRasterizer(value).template
+    return CommandRasterizer(value)
 
 
-# the one coercion of each config key (a field of PipelineConfig other than
-# base_dir); a key left out takes the field default, and null is the default
-# of a key whose default is None
+# the one reading of each config key, from its JSON value to what it sets:
+# a SynthConfig field of the same name, a path (_PATH_KEYS), or a setting of
+# the config itself; a key left out takes its default, and null is the
+# default of a key whose default is none
 _COERCE = {
     "corpus_dir": _path,
     "master_seed": json_int,
     "counts": _counts,
     "tce_cells_per_sample": json_int,
     "tcl_cells_per_sample": json_int,
-    "tr_format_weights": _weights,
+    "tr_format_weights": _tr_format_weights,
     "multiturn_fraction": _number,
-    "style_mix": _weights,
+    "style_mix": _style_mix,
     "style_ranges_path": _path,
     "template_pool_path": _path,
     "qa_pairs_path": _path,
     "rasterizer_command": _command,
     "raster_dpi": _positive_int,
 }
+_PATH_KEYS = ("corpus_dir", "qa_pairs_path", "style_ranges_path", "template_pool_path")
+# the SynthConfig number keys, which the manifest echoes even when left out
+_SCALAR_KEYS = ("master_seed", "tce_cells_per_sample", "tcl_cells_per_sample", "multiturn_fraction")
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +505,8 @@ def cmd_synth(
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
     manifest_path.unlink(missing_ok=True)
-    paths = _corpus_paths(config._resolve(config.corpus_dir))
-    synth_config = config.to_synth_config(seed_override=seed)
+    paths = _corpus_paths(config.corpus_dir)
+    synth_config = config.synth if seed is None else replace(config.synth, master_seed=seed)
     qa_pairs = config.resolve_qa_pairs()
     images_dir = out / "images"
 
@@ -582,7 +560,7 @@ def cmd_synth(
 
     manifest = {
         "version": __version__,
-        "config": config.echo(),
+        "config": config.echo,
         "master_seed": synth_config.master_seed,
         "corpus": {"tables": len(unique_cells), "skipped_files": len(paths) - len(unique_cells)},
         "counts": _record_task_counts(answers),
@@ -686,11 +664,11 @@ def cmd_render(
 
     A PNG is rasterized at dpi when given, else at the config's raster_dpi.
     """
-    from .render import CommandRasterizer, rasterize, render_svg, sample_style
+    from .render import CSS_DPI, rasterize, render_svg, sample_style
     from .tasks import SynthConfig
 
     table = _load_table_file(Path(input_path))
-    settings = config.to_synth_config() if config is not None else SynthConfig()
+    settings = config.synth if config is not None else SynthConfig()
     svg = render_svg(table, sample_style(settings.style_mix, seed, settings.style_ranges))
     out = Path(out_path)
     if image_format == "svg":
@@ -698,11 +676,9 @@ def cmd_render(
         return out
     if image_format != "png":
         raise PipelineConfigError(f"unsupported image format {image_format!r}")
-    command = config.rasterizer_command if config is not None else None
-    backend = CommandRasterizer(command) if command is not None else None
     if dpi is None:
-        dpi = config.raster_dpi if config is not None else 96
-    out.write_bytes(rasterize(svg, dpi=dpi, backend=backend))
+        dpi = config.raster_dpi if config is not None else CSS_DPI
+    out.write_bytes(rasterize(svg, dpi=dpi, backend=config.rasterizer if config is not None else None))
     return out
 
 

@@ -352,9 +352,13 @@ def render_svg(table: Table, style: StyleSpec) -> str:
 
 _SVG_SIZE = re.compile(r'<svg[^>]*\swidth="(\d+)"\s+height="(\d+)"')
 
+# CSS pixels per inch: the raster dpi at which one CSS pixel is one image
+# pixel, and the dpi of a raster that names none
+CSS_DPI = 96
+
 
 def raster_dimensions(svg_text: str, dpi: int) -> tuple[int, int]:
-    """Pixel dimensions of the raster output: ceil(css_size * dpi / 96).
+    """Pixel dimensions of the raster output: ceil(css_size * dpi / CSS_DPI).
     A dpi below 1 raises ValueError; every raster path comes through here."""
     if dpi < 1:
         raise ValueError(f"dpi must be >= 1, got {dpi}")
@@ -362,7 +366,7 @@ def raster_dimensions(svg_text: str, dpi: int) -> tuple[int, int]:
     if not m:
         raise ValueError("svg has no width/height attributes")
     w, h = int(m.group(1)), int(m.group(2))
-    return math.ceil(w * dpi / 96), math.ceil(h * dpi / 96)
+    return math.ceil(w * dpi / CSS_DPI), math.ceil(h * dpi / CSS_DPI)
 
 
 RasterBackend = Callable[[str, int, int, int], bytes]
@@ -383,7 +387,7 @@ class CommandRasterizer:
         if not template.split():
             raise ValueError(f"raster command template {template!r}: names no command")
         try:
-            self._argv(input="table.svg", output="table.png", width=1, height=1, dpi=96)
+            self._argv(input="table.svg", output="table.png", width=1, height=1, dpi=CSS_DPI)
         except KeyError as exc:
             raise ValueError(f"raster command template {template!r}: unknown placeholder {{{exc.args[0]}}}") from None
         except (AttributeError, IndexError, ValueError) as exc:
@@ -412,7 +416,7 @@ class CommandRasterizer:
             return dst.read_bytes()
 
 
-def rasterize(svg_text: str, dpi: int = 96, backend: RasterBackend | None = None) -> bytes:
+def rasterize(svg_text: str, dpi: int = CSS_DPI, backend: RasterBackend | None = None) -> bytes:
     """Rasterize via the configured backend; raises RasterizerUnavailable
     when none is set so callers can degrade to SVG-only output."""
     if backend is None:

@@ -340,8 +340,9 @@ class SynthConfig:
         check_weights(self.tr_format_weights, "tr_format_weights")
         if not 0.0 <= self.multiturn_fraction <= 1.0:
             raise ValueError("multiturn_fraction must be in [0, 1]")
-        if self.tce_cells_per_sample < 1 or self.tcl_cells_per_sample < 1:
-            raise ValueError("cells per sample must be >= 1")
+        for name in ("tce_cells_per_sample", "tcl_cells_per_sample"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from tablekit import core, pipeline, render, tasks
+from tablekit import core, pipeline, render, tasks, templates
 from tablekit.cli import main
 from tablekit.core import table_from_dict, table_to_dict
 from tablekit.formats import serialize
@@ -84,9 +84,8 @@ def test_config_from_file_resolves_relative_paths(tmp_path):
     _make_corpus(tmp_path, n=4)
     path = _write_config(tmp_path, {"tsd": [2, 1]})
     config = PipelineConfig.from_file(path)
-    assert config.base_dir == tmp_path
-    assert config._resolve(config.corpus_dir) == tmp_path / "corpus"
-    assert config.counts == {"tsd": (2, 1)}
+    assert config.corpus_dir == tmp_path / "corpus"
+    assert config.synth.counts == {tasks.TaskKind.TSD: (2, 1)}
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -159,6 +158,11 @@ def test_config_rejects_bad_shapes(tmp_path):
     {"style_mix": {"web_page": "1", "excel": 0, "markdown": 0}},
     {"raster_dpi": 0},
     {"raster_dpi": -96},
+    # names that no format or task has, and cells per sample below 1
+    {"tr_format_weights": {"pdf": 1.0}},
+    {"counts": {"nope": [1, 1]}},
+    {"tce_cells_per_sample": 0},
+    {"tcl_cells_per_sample": 0},
 ])  # fmt: skip
 def test_synth_reports_a_wrongly_typed_config_value(tmp_path, capsys, extra):
     key = next(iter(extra))
@@ -168,10 +172,28 @@ def test_synth_reports_a_wrongly_typed_config_value(tmp_path, capsys, extra):
     assert err.startswith("error: ") and key in err, err
 
 
-def test_config_seed_override():
-    config = PipelineConfig.from_dict({"corpus_dir": "c", "master_seed": 5})
-    assert config.to_synth_config().master_seed == 5
-    assert config.to_synth_config(seed_override=99).master_seed == 99
+def test_config_seed_override(tmp_path):
+    # --seed replaces the master seed for one run and leaves the config's own
+    _make_corpus(tmp_path, n=4)
+    config = PipelineConfig.from_file(_write_config(tmp_path, {"tsd": [2, 1]}, master_seed=5))
+    assert cmd_synth(config, tmp_path / "out", seed=99)["master_seed"] == 99
+    assert config.synth.master_seed == 5
+    assert cmd_synth(config, tmp_path / "out")["master_seed"] == 5
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "9"]])
+def test_synth_reads_the_pool_and_style_ranges_files_once(tmp_path, monkeypatch, seed):
+    _make_corpus(tmp_path, n=4)
+    pool = resources.files("tablekit.data").joinpath("default_templates.json").read_text(encoding="utf-8")
+    (tmp_path / "pool.json").write_text(pool, encoding="utf-8")
+    (tmp_path / "styles.json").write_text(_style_ranges_with(), encoding="utf-8")
+    path = _write_config(tmp_path, {"tsd": [2, 1]}, template_pool_path="pool.json", style_ranges_path="styles.json")
+    reads = []
+    for module, name in ((templates, "load_pool"), (render, "load_style_ranges")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda p, real=real, name=name: reads.append(name) or real(p))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out"), *seed]) == 0
+    assert sorted(reads) == ["load_pool", "load_style_ranges"]
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +487,7 @@ def test_cmd_synth_shards_write_the_serial_bytes(tmp_path, monkeypatch):
     # synthesize, in one process over the loaded corpus, gives the same records
     result = tasks.synthesize(
         load_corpus(tmp_path / "corpus").tables,
-        config.to_synth_config(),
+        config.synth,
         qa_pairs=config.resolve_qa_pairs(),
     )
     assert [s.to_dict() for s in result.samples] == records
@@ -657,7 +679,7 @@ def test_eval_stats_and_manifest_count_the_same_answers(tmp_path):
     # single's meta records the format its gold answer is written in
     singles = tasks.synthesize(
         load_corpus(tmp_path / "corpus").tables,
-        dataclasses.replace(config.to_synth_config(), multiturn_fraction=0.0),
+        dataclasses.replace(config.synth, multiturn_fraction=0.0),
     ).samples
     written_in = {s.sample_id: s.meta["tr_format"] for s in singles}
     by_id = {r["sample_id"]: r for r in report.per_sample}
