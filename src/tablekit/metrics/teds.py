@@ -17,13 +17,18 @@ scorer of evaluate calls) repairs sloppy text the same way in each format:
 ragged rows are padded, spans are clamped to the grid and the grid to
 MAX_ROWS x MAX_COLS, and a nested HTML table is flattened into its cell.
 Two equal strings give identical trees, and identical trees are at distance
-exactly 0, so teds returns 1.0 for equal strings without building the trees,
-and tree_edit_distance returns 0.0 for equal trees without running the DP.
+exactly 0, so teds returns 1.0 for equal strings without building the trees.
 
-tree_edit_distance is exact on any pair of trees. It runs the DP in a band
-of postorder indices that it widens until the result proves itself exact
-(see its docstring), so its cost grows with the distance times the tree
-size, not with the product of the two tree sizes.
+tree_edit_distance is exact on any pair of trees. Two certificates give the
+distance of most pairs a model's answer makes without the DP, each exactly
+the value the DP returns: a smaller tree that sits unchanged inside the
+larger one (rows or columns added or dropped) is the size gap away, since
+every edit script leaves out at least that many nodes; and two trees of
+one shape whose renames cost at most 2 are that cost apart, since any other
+mapping leaves out a node of each tree. Other pairs run the DP in a band of
+postorder indices that it widens until the result proves itself exact (see
+its docstring), so its cost grows with the distance times the tree size,
+not with the product of the two tree sizes.
 """
 
 from __future__ import annotations
@@ -47,7 +52,11 @@ class TreeNode:
 
 
 def tree_size(root: TreeNode) -> int:
-    return 1 + sum(tree_size(c) for c in root.children)
+    size, stack = 0, [root]
+    while stack:
+        size += 1
+        stack.extend(stack.pop().children)
+    return size
 
 
 def html_to_tree(html: str) -> TreeNode:
@@ -77,24 +86,41 @@ def table_to_tree(table: Table | None) -> TreeNode:
     return TreeNode("table", children=rows)
 
 
-def levenshtein(a: str, b: str) -> int:
+# levenshtein keeps the match masks of a string of at most this many
+# distinct characters: the masks hold up to one bit per distinct character
+# and position, so a kept string's take at most 16 bytes a character, where
+# those of 10,000 distinct characters would take 12 MB
+_KEPT_MASK_CHARS = 128
+
+
+def levenshtein(a: str, b: str, masks: dict[str, dict[str, int]] | None = None) -> int:
     """Unit-cost edit distance, by the bit-parallel method of Myers (JACM
     1999) in Hyyro's form: a DP column of the longer string is held as two
     bit vectors of +1/-1 vertical deltas, one Python int each, so the
-    shorter string is walked once in O(n * ceil(m / w))."""
+    shorter string is walked once in O(n * ceil(m / w)).
+
+    The walk reads the longer string's match masks (per character, the bits
+    of its positions). Given masks, a dict from string to its masks, they
+    are looked up there, and those built for a string of at most
+    _KEPT_MASK_CHARS distinct characters are kept there, so such a long
+    string compared with many short ones is read once."""
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    peq: dict[str, int] = {}
-    bit = 1
-    for ch in a:
-        peq[ch] = peq.get(ch, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
+    peq = None if masks is None else masks.get(a)
+    if peq is None:
+        peq = {}
+        bit = 1
+        for ch in a:
+            peq[ch] = peq.get(ch, 0) | bit
+            bit <<= 1
+        if masks is not None and len(peq) <= _KEPT_MASK_CHARS:
+            masks[a] = peq
+    last = 1 << (len(a) - 1)
+    mask = (last << 1) - 1
     pv, mv, dist = mask, 0, len(a)
     for ch in b:
         eq = peq.get(ch, 0)
@@ -113,7 +139,7 @@ def levenshtein(a: str, b: str) -> int:
     return dist
 
 
-def _rename_cost(a: TreeNode, b: TreeNode) -> float:
+def _rename_cost(a: TreeNode, b: TreeNode, masks: dict[str, dict[str, int]] | None = None) -> float:
     if a.tag != b.tag:
         return 1.0
     if a.tag != "td":
@@ -122,7 +148,7 @@ def _rename_cost(a: TreeNode, b: TreeNode) -> float:
         return 1.0
     if not a.content and not b.content:
         return 0.0
-    return levenshtein(a.content, b.content) / max(len(a.content), len(b.content))
+    return levenshtein(a.content, b.content, masks) / max(len(a.content), len(b.content))
 
 
 def _label(node: TreeNode) -> tuple:
@@ -157,10 +183,88 @@ def _annotate(root: TreeNode) -> tuple[list[TreeNode], list[int], list[int]]:
     return nodes, lml, keyroots
 
 
+def _embeds(small: TreeNode, large: TreeNode) -> bool:
+    """Whether small maps into large top-down with equal labels: root onto
+    root, and each node's children in order onto a subsequence of its
+    image's children. Each child takes the first sibling it maps into, which
+    leaves the most room for the children after it, so the greedy search
+    finds a mapping whenever one exists. A sibling is tried at most once, so
+    the check is linear in the size of large."""
+    if _label(small) != _label(large):
+        return False
+    # [node of small, its image, next child to map, next sibling to try]
+    stack = [[small, large, 0, 0]]
+    while True:
+        frame = stack[-1]
+        node, image, i, j = frame
+        mapped = i == len(node.children)
+        if not mapped:
+            label, siblings = _label(node.children[i]), image.children
+            while j < len(siblings) and _label(siblings[j]) != label:
+                j += 1
+            if j < len(siblings):
+                frame[3] = j
+                stack.append([node.children[i], siblings[j], 0, 0])
+                continue
+        stack.pop()
+        if not stack:
+            return mapped
+        parent = stack[-1]
+        if mapped:
+            parent[2] += 1  # the child maps into the sibling tried
+        parent[3] += 1  # and the next child, or the same one, tries the next
+
+
+def _identity_cost(root1: TreeNode, root2: TreeNode, masks: dict[str, dict[str, int]]) -> float | None:
+    """The cost of the mapping of two trees of one shape that pairs each
+    node with the node at its place, if it is at most 2.0; else None, and
+    None for trees of two shapes. The cost is added up as the DP adds it:
+    for each node, its children's costs left to right from 0.0, then its
+    rename. The sum stops once it passes 2.0, so a failed check costs a few
+    renames, not all of them."""
+    # the node pairs in preorder, right child first: read backwards, each
+    # node's children end left to right, each before the node
+    pairs, stack = [], [(root1, root2, -1)]
+    while stack:
+        a, b, parent = stack.pop()
+        if len(a.children) != len(b.children):
+            return None
+        at = len(pairs)
+        pairs.append((a, b, parent))
+        stack.extend((c, d, at) for c, d in zip(a.children, b.children))
+    sums = [0.0] * len(pairs)  # of each node's children's costs so far
+    for i in range(len(pairs) - 1, -1, -1):
+        a, b, parent = pairs[i]
+        cost = sums[i]
+        if _label(a) != _label(b):  # equal labels rename for 0.0
+            cost += _rename_cost(a, b, masks)
+        if parent < 0:
+            return cost if cost <= 2.0 else None
+        sums[parent] += cost
+        if sums[parent] > 2.0:  # the parent's cost, and so the root's, is more
+            return None
+
+
 def tree_edit_distance(root1: TreeNode, root2: TreeNode) -> float:
     """Exact Zhang-Shasha ordered tree edit distance (Zhang & Shasha, SIAM J.
     Comput. 1989), computed in a band of postorder indices after Touzet, "A
     linear tree edit distance algorithm for similar ordered trees" (CPM 2005).
+
+    Certificates. Every mapping leaves out at least |n1 - n2| nodes, and the
+    float cost of a script is at least the number of nodes it leaves out
+    (it adds 1.0 for each and non-negative renames, and float addition is
+    monotone), so the DP's value D is at least |n1 - n2|. Two checks find D
+    without the DP, and each returns the float the DP returns:
+    - Inclusion. When the smaller tree maps top-down into the larger with
+      equal labels (_embeds), that mapping renames for 0.0 and leaves out
+      exactly |n1 - n2| nodes, so D = float(|n1 - n2|).
+    - Same shape. For trees of one shape, the mapping that pairs each node
+      with the node at its place leaves out none; every other mapping
+      leaves out a node of each tree and costs at least 2.0. The DP adds
+      that mapping's renames in one order, and _identity_cost adds them in
+      the same order, so when its cost C is at most 2.0, D = C bit for bit.
+      Equal trees are the case C = 0.0.
+    A pair that neither check covers runs the banded DP below.
 
     Nodes are numbered 1..n1 and 1..n2 in postorder; l(x) is x's leftmost
     leaf. A state (x, y) of keyroot pair (i, j) stands for the forests
@@ -206,13 +310,20 @@ def tree_edit_distance(root1: TreeNode, root2: TreeNode) -> float:
     min(2k, ceil(result)); the result bounds D from above, so the band
     ceil(result) ends the search. At k = n1 + n2 nothing is cut.
     """
+    masks: dict[str, dict[str, int]] = {}  # levenshtein's, for this call
+    size1, size2 = tree_size(root1), tree_size(root2)
+    if size1 < size2 and _embeds(root1, root2) or size2 < size1 and _embeds(root2, root1):
+        return float(abs(size1 - size2))
+    if size1 == size2:
+        cost = _identity_cost(root1, root2, masks)
+        if cost is not None:
+            return cost
+
     nodes1, lml1, keyroots1 = _annotate(root1)
     nodes2, lml2, keyroots2 = _annotate(root2)
     label_ids: dict[tuple, int] = {}
     ids1 = [label_ids.setdefault(_label(n), len(label_ids)) for n in nodes1]
     ids2 = [label_ids.setdefault(_label(n), len(label_ids)) for n in nodes2]
-    if ids1 == ids2 and lml1 == lml2:
-        return 0.0  # the same tree
     n_labels = len(label_ids)
     costs: dict[int, float] = {}
 
@@ -222,10 +333,9 @@ def tree_edit_distance(root1: TreeNode, root2: TreeNode) -> float:
         key = ids1[x - 1] * n_labels + ids2[y - 1]
         cost = costs.get(key)
         if cost is None:
-            cost = costs[key] = _rename_cost(nodes1[x - 1], nodes2[y - 1])
+            cost = costs[key] = _rename_cost(nodes1[x - 1], nodes2[y - 1], masks)
         return cost
 
-    size1, size2 = len(nodes1), len(nodes2)
     skew, full = size1 - size2, size1 + size2
     k = max(2, abs(skew))
     while True:

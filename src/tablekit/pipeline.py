@@ -77,7 +77,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: object, base_dir: str | Path = ".") -> "PipelineConfig":
         from .render import CSS_DPI, load_style_ranges
-        from .tasks import SynthConfig
+        from .tasks import SynthConfig, SynthConfigError
         from .templates import load_pool
 
         if not isinstance(raw, dict):
@@ -108,9 +108,9 @@ class PipelineConfig:
         rasterizer = settings.pop("rasterizer_command", None)
         raster_dpi = settings.pop("raster_dpi", CSS_DPI)
         try:
-            synth = SynthConfig(**settings)  # each error names its field
-        except ValueError as exc:
-            raise PipelineConfigError(str(exc))
+            synth = SynthConfig(**settings)
+        except SynthConfigError as exc:
+            raise PipelineConfigError(f"bad config value for {exc.key}: {exc}")
         echo = {key: value for key, value in raw.items() if value is not None}
         echo.update({key: getattr(synth, key) for key in _SCALAR_KEYS}, raster_dpi=raster_dpi)
         return cls(

@@ -37,6 +37,14 @@ class InsufficientUniqueCells(ValueError):
     """The table lacks enough content-unique non-empty cells."""
 
 
+class SynthConfigError(ValueError):
+    """A SynthConfig setting out of its range; key names the setting."""
+
+    def __init__(self, key: str, message: str) -> None:
+        super().__init__(message)
+        self.key = key
+
+
 def derive_seed(*parts: object) -> int:
     """Stable 64-bit seed from the joined string forms of the parts."""
     text = "|".join(str(p) for p in parts)
@@ -336,13 +344,16 @@ class SynthConfig:
     def __post_init__(self) -> None:
         for task, (train_n, eval_n) in self.counts.items():
             if train_n < 0 or eval_n < 0:
-                raise ValueError(f"counts for {task.value} must be >= 0")
-        check_weights(self.tr_format_weights, "tr_format_weights")
+                raise SynthConfigError("counts", f"counts for {task.value} must be >= 0")
+        try:
+            check_weights(self.tr_format_weights, "tr_format_weights")
+        except ValueError as exc:
+            raise SynthConfigError("tr_format_weights", str(exc)) from None
         if not 0.0 <= self.multiturn_fraction <= 1.0:
-            raise ValueError("multiturn_fraction must be in [0, 1]")
+            raise SynthConfigError("multiturn_fraction", "multiturn_fraction must be in [0, 1]")
         for name in ("tce_cells_per_sample", "tcl_cells_per_sample"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise SynthConfigError(name, f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)

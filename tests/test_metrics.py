@@ -182,6 +182,7 @@ def test_levenshtein_matches_list_dp_reference():
     rng = random.Random(409)
     alphabets = ["ab", "abcx", "a\u00e9\u4e2d \U0001f600", string.ascii_letters + string.digits]
     lengths = [0, 1, 2, 7, 31, 63, 64, 65, 127, 128, 129, 200, 300]
+    masks: dict[str, dict[str, int]] = {}
     for _ in range(150):
         alphabet = rng.choice(alphabets)
         a = "".join(rng.choice(alphabet) for _ in range(rng.choice(lengths)))
@@ -191,6 +192,16 @@ def test_levenshtein_matches_list_dp_reference():
         want = oracles.levenshtein(a, b)
         assert levenshtein(a, b) == want, (a, b)
         assert levenshtein(b, a) == want, (b, a)
+        # the longer string's match masks, built on the first call and
+        # read back on the second and on later pairs that share it
+        assert levenshtein(a, b, masks) == want, (a, b)
+        assert levenshtein(b, a, masks) == want, (b, a)
+    # the masks of a string of many distinct characters are not kept: they
+    # take a bit per distinct character and position
+    wide = "".join(map(chr, range(0x4E00, 0x4E00 + 200)))
+    masks.clear()
+    assert levenshtein(wide, "\u4e01x", masks) == oracles.levenshtein(wide, "\u4e01x") == 199
+    assert masks == {}
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +424,8 @@ def test_every_band_bounds_the_distance_and_is_exact_within_its_width():
                 assert got == want
 
 
-def test_band_search_skips_the_round_whose_band_it_already_ran(monkeypatch):
-    """c(x, y) has the parity of n1 - n2, so for trees of equal size the band
-    for k = 2 is the band for k = 3, and a result of 3 is exact at once."""
+def _banded_calls(monkeypatch) -> list[tuple[int, int]]:
+    """The band (dlo, dhi) of each _banded_distance call made from now on."""
     teds_module = importlib.import_module("tablekit.metrics.teds")  # the package exports a function of that name
     calls = []
     banded = teds_module._banded_distance
@@ -425,6 +435,13 @@ def test_band_search_skips_the_round_whose_band_it_already_ran(monkeypatch):
         return banded(*args)
 
     monkeypatch.setattr(teds_module, "_banded_distance", counted)
+    return calls
+
+
+def test_band_search_skips_the_round_whose_band_it_already_ran(monkeypatch):
+    """c(x, y) has the parity of n1 - n2, so for trees of equal size the band
+    for k = 2 is the band for k = 3, and a result of 3 is exact at once."""
+    calls = _banded_calls(monkeypatch)
 
     def one_row(colspan: int) -> TreeNode:
         return TreeNode("table", children=[TreeNode("tr", children=[TreeNode("td", "v", colspan) for _ in range(3)])])
@@ -432,6 +449,168 @@ def test_band_search_skips_the_round_whose_band_it_already_ran(monkeypatch):
     t1, t2 = one_row(1), one_row(2)  # three span mismatches: distance 3
     assert tree_edit_distance(t1, t2) == oracles.tree_edit_distance(t1, t2) == 3.0
     assert calls == [(-1, 1)]
+
+
+# the certificates: pairs whose distance is known without the DP
+
+
+def _grown(rng: random.Random, tree: TreeNode) -> TreeNode:
+    """A copy with cells and at least one row inserted anywhere, every old
+    node kept unchanged in its order."""
+    out = _copy_tree(tree)
+    for row in out.children:
+        for _ in range(rng.randint(0, 2)):
+            row.children.insert(rng.randint(0, len(row.children)), TreeNode("td", rng.choice(["", "new", "n 2"])))
+    for _ in range(rng.randint(1, 3)):
+        cells = [TreeNode("td", rng.choice(["", "r"])) for _ in range(rng.randint(0, 3))]
+        out.children.insert(rng.randint(0, len(out.children)), TreeNode("tr", children=cells))
+    return out
+
+
+def _renamed(rng: random.Random, tree: TreeNode, n_cells: int) -> TreeNode:
+    """A copy with n_cells cells changed in place: a span changed (rename
+    cost 1.0) or a few characters edited (at most 1.0)."""
+    out = _copy_tree(tree)
+    cells = [cell for row in out.children for cell in row.children]
+    for cell in rng.sample(cells, min(n_cells, len(cells))):
+        if rng.random() < 0.3:
+            cell.colspan += 1
+        else:
+            cell.content = _char_edits(rng, cell.content, rng.randint(1, 3))
+    return out
+
+
+def _random_table_tree(rng: random.Random) -> TreeNode:
+    return table_to_tree(table_from_dict(oracles.random_table_dict(rng, rng.randint(2, 12), rng.randint(1, 8))))
+
+
+def test_certified_pairs_skip_the_dp_and_equal_the_full_width_reference(monkeypatch):
+    """A smaller tree inside the larger one (grown, or a row or column
+    dropped) and a same-shape pair whose renames cost at most 2 (two span
+    changes cost exactly 2.0) are scored without the DP, to the bit."""
+    calls = _banded_calls(monkeypatch)
+    rng = random.Random(728)
+    for i in range(120):
+        gold = _random_table_tree(rng)
+        preds = [_grown(rng, gold), _renamed(rng, gold, rng.randint(0, 2))]
+        preds += [_edited_table_tree(rng, gold, edit) for edit in ("one_cell", "drop_row", "drop_column")]
+        for pred in preds:
+            for a, b in ((pred, gold), (gold, pred)):
+                want = oracles.tree_edit_distance(a, b)
+                assert tree_edit_distance(a, b) == want, (i, a, b)
+                assert calls == [], (i, a, b)
+    gold = table_to_tree(_distinct_cell_table(rng, 3, 3))
+    two_spans = _copy_tree(gold)
+    two_spans.children[0].children[0].rowspan = two_spans.children[2].children[2].colspan = 2
+    assert tree_edit_distance(two_spans, gold) == oracles.tree_edit_distance(two_spans, gold) == 2.0
+    assert calls == []
+
+
+def _moved_cell(tree: TreeNode) -> TreeNode:
+    """A copy with the last cell of the first row moved to the front of the
+    second: the same size, another shape."""
+    out = _copy_tree(tree)
+    out.children[1].children.insert(0, out.children[0].children.pop())
+    return out
+
+
+def _blocked(rng: random.Random, tree: TreeNode, by: str) -> TreeNode:
+    """A grown copy in which one old cell no longer matches: its span or its
+    text changed."""
+    out = _copy_tree(tree)
+    cell = rng.choice([cell for row in out.children for cell in row.children])
+    if by == "span":
+        cell.colspan += 1
+    else:
+        cell.content += "z"
+    return _grown(rng, out)
+
+
+def test_near_misses_of_the_certificates_run_the_dp(monkeypatch):
+    """A same-shape pair whose renames cost just over 2, two trees of one
+    size and two shapes, and a grown tree with one old cell's span or text
+    changed are each scored by the DP, equal to the full-width reference."""
+    calls = _banded_calls(monkeypatch)
+    rng = random.Random(729)
+    for i in range(40):
+        table = _distinct_cell_table(rng, rng.randint(3, 8), rng.randint(3, 6))
+        gold = table_to_tree(table)
+        over_two = _copy_tree(gold)
+        cells = [cell for row in over_two.children for cell in row.children]
+        cells[0].colspan = cells[1].colspan = 2
+        cells[2].content = "x" + cells[2].content[1:]  # 1/6 more
+        preds = [over_two, _moved_cell(gold), _blocked(rng, gold, "span"), _blocked(rng, gold, "text")]
+        for pred in preds:
+            for a, b in ((pred, gold), (gold, pred)):
+                calls.clear()
+                want = oracles.tree_edit_distance(a, b)
+                assert tree_edit_distance(a, b) == want, (i, a, b)
+                assert calls, (i, a, b)
+        assert tree_edit_distance(over_two, gold) == 2 + 1 / 6
+
+
+def test_a_failed_certificate_check_stays_linear(monkeypatch):
+    """Against a fixed 12x8 gold, the inclusion check of the 512x512-fill
+    family (one cell a row, then a full row, padded) grows linearly with the
+    tree, and the same-shape check of a pair with long cells stops summing
+    after the third rename, whatever the length of the cells."""
+    teds_module = importlib.import_module("tablekit.metrics.teds")
+    from tablekit.metrics.teds import _embeds, _identity_cost
+
+    rng = random.Random(730)
+    table = _distinct_cell_table(rng, 12, 8)
+    gold = table_to_tree(table)
+    first = table.anchors[0].content  # so that each row's first cell maps
+
+    def fill(n: int) -> TreeNode:  # about n cells
+        side = math.isqrt(n)
+        rows = f"<tr><td>{first}</td></tr>" * (side - 1) + "<tr>" + f"<td>{first}</td>" * side + "</tr>"
+        return html_to_tree(f"<table>{rows}</table>")
+
+    assert not _embeds(gold, fill(4096))
+    ratio = growth_ratio(lambda tree: _embeds(gold, tree), fill, 4096)
+    assert ratio < 9, ratio
+
+    def long_cells(n: int) -> TreeNode:
+        out = _copy_tree(gold)
+        for row in out.children:
+            for cell in row.children:
+                cell.content = "".join(rng.choice(string.ascii_letters) for _ in range(n))
+        return out
+
+    ratio = growth_ratio(lambda pred: _identity_cost(pred, gold, {}), long_cells, 2000)
+    assert ratio < 9, ratio
+    renames = []
+    real = teds_module._rename_cost
+    monkeypatch.setattr(teds_module, "_rename_cost", lambda a, b, masks: renames.append(a) or real(a, b, masks))
+    assert _identity_cost(long_cells(2000), gold, {}) is None
+    assert len(renames) == 3  # each costs nearly 1.0
+
+
+def test_long_cells_against_a_fixed_gold_scale_linearly(monkeypatch):
+    """Each long cell's match masks are built once per tree_edit_distance
+    call, in one dict that the certificate's renames and the DP's share."""
+    teds_module = importlib.import_module("tablekit.metrics.teds")
+    rng = random.Random(731)
+    gold = table_to_tree(_distinct_cell_table(rng, 12, 8))
+
+    def long_cells(n: int) -> TreeNode:
+        out = _copy_tree(gold)
+        for row in out.children:
+            for cell in row.children:
+                cell.content = "".join(rng.choice(string.ascii_letters) for _ in range(n))
+        return out
+
+    ratio = growth_ratio(lambda pred: tree_edit_distance(pred, gold), long_cells, 500)
+    assert ratio < 9, ratio
+    pred = long_cells(300)
+    want = oracles.tree_edit_distance(pred, gold)
+    dicts = []
+    real = teds_module.levenshtein
+    monkeypatch.setattr(teds_module, "levenshtein", lambda a, b, masks=None: dicts.append(masks) or real(a, b, masks))
+    assert tree_edit_distance(pred, gold) == want
+    assert dicts and all(masks is dicts[0] for masks in dicts)
+    assert set(dicts[0]) == {cell.content for row in pred.children for cell in row.children}
 
 
 def _distinct_cell_table(rng: random.Random, n_rows: int, n_cols: int) -> Table:

@@ -163,13 +163,20 @@ def test_config_rejects_bad_shapes(tmp_path):
     {"counts": {"nope": [1, 1]}},
     {"tce_cells_per_sample": 0},
     {"tcl_cells_per_sample": 0},
+    # ranges that the synthesis settings check, in the same form
+    {"tr_format_weights": {"html": 0.5}},
+    {"multiturn_fraction": 1.5},
+    {"counts": {"tsd": [-1, 1]}},
 ])  # fmt: skip
 def test_synth_reports_a_wrongly_typed_config_value(tmp_path, capsys, extra):
     key = next(iter(extra))
     path = _write_config(tmp_path, **{"counts": {"tsd": [2, 1]}, **extra})
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err, err
+    if extra == {"corpus_dir": None}:  # a missing corpus_dir, not a bad value
+        assert err.startswith("error: ") and key in err, err
+    else:
+        assert err.startswith(f"error: bad config value for {key}: "), err
 
 
 def test_config_seed_override(tmp_path):
